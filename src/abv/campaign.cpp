@@ -46,17 +46,38 @@ sim::Time end_of(const spec::Trace& t) {
 }
 
 // One per-seed cache entry: the valid trace plus — unless checkpoint_stride
-// is 0 — the checkpoint ladder recorded while a throwaway monitor observes
-// that trace exactly once.  checkpoints[k] is the monitor state after the
-// first (k+1)*stride events; a mutant whose divergence position p admits a
-// floor rung restores checkpoints[p/stride - 1] and replays only the
-// suffix.  The ladder is a pure function of (property, seed, options), so
-// it is deterministic no matter which unit's lookup builds it.
+// is 0 — the checkpoint ladder recorded while a throwaway monitor and a
+// reference cursor walk that trace exactly once.  checkpoints[k] is the
+// monitor state and oracle_rungs[k] the oracle state after the first
+// (k+1)*stride events; a mutant whose divergence position p admits a floor
+// rung resumes both from rung p/stride - 1 and walks only the suffix.  The
+// ladder is a pure function of (property, seed, options), so it is
+// deterministic no matter which unit's lookup builds it, and read-only
+// once published.
 struct CachedSeedTrace {
   spec::Trace trace;
   std::vector<mon::Snapshot> checkpoints;
+  std::vector<spec::RefCursor> oracle_rungs;  // parallel to checkpoints
   std::size_t stride = 0;  // 0: no ladder (checkpoint_stride 0)
 };
+
+// Where a trace sharing its first `position` events with the valid trace
+// resumes: the highest rung at or below the position (both null, begin 0,
+// without a ladder or below the first rung).
+struct FloorRung {
+  const mon::Snapshot* snapshot = nullptr;
+  const spec::RefCursor* oracle = nullptr;
+  std::size_t begin = 0;  // first event the rung does not cover
+};
+
+FloorRung floor_rung(const CachedSeedTrace* ladder, std::size_t position) {
+  if (ladder == nullptr) return {};
+  const std::size_t rungs =
+      std::min(position / ladder->stride, ladder->checkpoints.size());
+  if (rungs == 0) return {};
+  return {&ladder->checkpoints[rungs - 1], &ladder->oracle_rungs[rungs - 1],
+          rungs * ladder->stride};
+}
 
 // Per-seed valid-trace cache shared by every worker of one run_campaigns()
 // call: keyed by (job, seed) so batch runs over several properties never
@@ -118,6 +139,12 @@ struct UnitScratch {
   std::vector<std::size_t> lane_starts;
   std::vector<const mon::Snapshot*> lane_rungs;
 
+  // The reference oracle's working cursor: bound or assigned from a ladder
+  // rung before every check, so only its buffer capacity carries over
+  // between checks (and a plan pointer left over from an earlier campaign
+  // is never read).
+  spec::RefCursor oracle;
+
   /// Drops every pooled instance; buffers keep their capacity.  Also the
   /// end-of-shard cleanup, so nothing borrowed (monitor, alphabet) can
   /// dangle past the campaign in a worker's thread-local scratch.
@@ -163,10 +190,11 @@ spec::Trace seed_trace(const PropertyPlan& job, spec::Alphabet& ab,
 
 // Records the checkpoint ladder for one cached seed trace: a throwaway
 // monitor stamped from the shared plan observes the valid trace once,
-// snapshotting after every `stride` events.  The pass is engine overhead of
-// the cache-entry build (like generation itself): its instance and
-// Figure-6 stats are deliberately not accounted anywhere, so the stride
-// cannot move a semantic counter.
+// snapshotting after every `stride` events, and a reference cursor walks
+// alongside, copied at the same rungs.  The pass is engine overhead of the
+// cache-entry build (like generation itself): its instance and Figure-6
+// stats are deliberately not accounted anywhere, so the stride cannot move
+// a semantic counter.
 void build_checkpoint_ladder(const PropertyPlan& job,
                              const CampaignOptions& options,
                              CachedSeedTrace& entry) {
@@ -174,13 +202,18 @@ void build_checkpoint_ladder(const PropertyPlan& job,
   const std::size_t rungs = entry.trace.size() / entry.stride;
   if (rungs == 0) return;
   entry.checkpoints.resize(rungs);
+  entry.oracle_rungs.reserve(rungs);
   const std::unique_ptr<mon::Monitor> monitor =
       job.compiled.instantiate();
+  spec::RefCursor oracle;
+  oracle.bind(*job.property, job.compiled.plan());
   std::size_t next = 0;
   for (std::size_t i = 0; i < entry.trace.size(); ++i) {
     monitor->observe(entry.trace[i].name, entry.trace[i].time);
     if ((i + 1) % entry.stride == 0) {
       monitor->snapshot(entry.checkpoints[next]);
+      oracle.advance(entry.trace, oracle.walked(), i + 1);
+      entry.oracle_rungs.push_back(oracle);
       if (++next == rungs) break;  // ladder full; the tail has no rung
     }
   }
@@ -217,14 +250,20 @@ const CachedSeedTrace& obtain_seed_trace(const PropertyPlan& job,
   return entry;
 }
 
-// The reference oracle for one unit, handed the compiled OrderingPlan
-// instead of re-planning the property per call — the plan is a pure
-// function of the property, so the verdict bytes are identical
-// (spec/reference.hpp).
-spec::RefResult oracle_check(const PropertyPlan& job,
-                             const spec::Trace& trace) {
-  return spec::reference_check(*job.property, job.compiled.plan(), trace,
-                               end_of(trace));
+// The reference oracle for one trace: the scratch cursor resumes from the
+// floor rung's copy (or starts fresh on the compiled plan) and walks only
+// [resume.begin, end).  The cursor state is a pure function of the walked
+// prefix, so the verdict equals a walk from event 0 (spec/reference.hpp).
+// No reason text is formatted.
+bool oracle_rejects(const PropertyPlan& job, const FloorRung& resume,
+                    const spec::Trace& trace, spec::RefCursor& cursor) {
+  if (resume.oracle != nullptr) {
+    cursor = *resume.oracle;
+  } else {
+    cursor.bind(*job.property, job.compiled.plan());
+  }
+  cursor.advance(trace, resume.begin, trace.size());
+  return cursor.finish(end_of(trace)).rejected();
 }
 
 void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
@@ -261,10 +300,10 @@ void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
     }
   }
 
-  const auto ref = oracle_check(job, valid);
+  const bool ref_rejected = oracle_rejects(job, {}, valid, scratch.oracle);
   const bool monitor_ok = monitor.verdict() != mon::Verdict::Violated;
-  if (monitor_ok && !ref.rejected()) ++out.partial.valid_accepted;
-  if (monitor_ok == ref.rejected()) ++out.partial.oracle_disagreements;
+  if (monitor_ok && !ref_rejected) ++out.partial.valid_accepted;
+  if (monitor_ok == ref_rejected) ++out.partial.oracle_disagreements;
   out.partial.monitor_stats.merge(monitor.stats());
 
   if (options.check_viapsl) {
@@ -274,7 +313,7 @@ void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
         draw_pooled(scratch.viapsl, job, mon::Backend::ViaPSL, out);
     for (const auto& ev : valid) viapsl.observe(ev.name, ev.time);
     viapsl.finish(end_of(valid));
-    if (!ref.rejected() && viapsl.verdict() == mon::Verdict::Violated) {
+    if (!ref_rejected && viapsl.verdict() == mon::Verdict::Violated) {
       ++out.partial.viapsl_false_alarms;
     }
     out.partial.monitor_stats.merge(viapsl.stats());
@@ -370,24 +409,13 @@ void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
       continue;
     }
     ++stats.applied;
-    if (!oracle_check(job, mutant.trace).rejected()) continue;
+    const FloorRung resume = floor_rung(ladder, mutant.position);
+    if (!oracle_rejects(job, resume, mutant.trace, scratch.oracle)) continue;
     ++stats.invalid;
-    // Floor-rung resolution, verbatim from the scalar path.
-    std::size_t replay_begin = 0;
-    const mon::Snapshot* rung = nullptr;
-    if (ladder != nullptr && !ladder->checkpoints.empty()) {
-      const std::size_t whole_strides = mutant.position / ladder->stride;
-      const std::size_t rungs =
-          std::min(whole_strides, ladder->checkpoints.size());
-      if (rungs > 0) {
-        rung = &ladder->checkpoints[rungs - 1];
-        replay_begin = rungs * ladder->stride;
-      }
-    }
-    LOOM_DASSERT(replay_begin <= mutant.trace.size());
+    LOOM_DASSERT(resume.begin <= mutant.trace.size());
     scratch.lane_traces.push_back(&mutant.trace);
-    scratch.lane_starts.push_back(replay_begin);
-    scratch.lane_rungs.push_back(rung);
+    scratch.lane_starts.push_back(resume.begin);
+    scratch.lane_rungs.push_back(resume.snapshot);
     if (scratch.lane_traces.size() == width) flush();
   }
   flush();  // the unit's final, usually partial, wave
@@ -429,25 +457,18 @@ void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
       continue;
     }
     ++stats.applied;
-    if (!oracle_check(job, mutant.trace).rejected()) continue;
-    ++stats.invalid;
     // Incremental replay: MutationResult::position guarantees the mutant
     // shares its first `position` events with the valid trace, so the
-    // monitor state after that prefix is exactly what the ladder recorded.
-    // Resolve the floor rung (the highest checkpoint at or below the
-    // position) before drawing the monitor: when a restore will overwrite
-    // the whole state, the draw below skips its redundant reset pass.
-    std::size_t replay_begin = 0;
-    const mon::Snapshot* rung = nullptr;
-    if (ladder != nullptr && !ladder->checkpoints.empty()) {
-      const std::size_t whole_strides = mutant.position / ladder->stride;
-      const std::size_t rungs =
-          std::min(whole_strides, ladder->checkpoints.size());
-      if (rungs > 0) {
-        rung = &ladder->checkpoints[rungs - 1];
-        replay_begin = rungs * ladder->stride;
-      }
-    }
+    // oracle and monitor states after that prefix are exactly what the
+    // ladder recorded.  Resolve the floor rung (the highest rung at or
+    // below the position) first: the oracle resumes from it, and when a
+    // restore will overwrite the whole monitor state, the draw below skips
+    // its redundant reset pass.
+    const FloorRung resume = floor_rung(ladder, mutant.position);
+    if (!oracle_rejects(job, resume, mutant.trace, scratch.oracle)) continue;
+    ++stats.invalid;
+    const mon::Snapshot* rung = resume.snapshot;
+    const std::size_t replay_begin = resume.begin;
     mon::Monitor& mmon =
         draw_pooled(scratch.monitor, job, job.compiled.chosen(), out,
                     /*skip_reset=*/rung != nullptr);

@@ -96,13 +96,14 @@ struct CampaignOptions {
   std::size_t shard_size = 0;
 
   /// Incremental replay: while a seed's valid trace is cached, the engine
-  /// snapshots the monitor (mon::Snapshot) every `checkpoint_stride`
-  /// events; a mutant whose MutationResult::position proves a shared
-  /// prefix restores the floor snapshot and replays only [floor, end) —
+  /// snapshots the monitor (mon::Snapshot) and copies the reference
+  /// oracle's cursor (spec::RefCursor) every `checkpoint_stride` events;
+  /// a mutant whose MutationResult::position proves a shared prefix
+  /// resumes both from the floor rung and walks only [floor, end) —
   /// O(suffix) instead of O(trace) per mutant.  Smaller strides skip more
-  /// prefix but store more snapshots per seed; 0 disables the ladder, so
-  /// every mutant replays from event 0.  Result-neutral at every stride
-  /// (campaign_incremental_diff_test).
+  /// prefix but store more rungs per seed; 0 disables the ladder, so
+  /// every mutant is checked and replayed from event 0.  Result-neutral at
+  /// every stride (campaign_incremental_diff_test).
   std::size_t checkpoint_stride = 32;
 
   /// Cross-process sharding: 0 runs every shard in this process (threads

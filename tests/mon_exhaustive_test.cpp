@@ -13,34 +13,6 @@
 namespace loom::mon {
 namespace {
 
-/// Calls fn(trace) for every trace over `names` with length <= max_len.
-/// Events are spaced 10 ns apart.
-template <typename Fn>
-void for_all_traces(const std::vector<spec::Name>& names,
-                    std::size_t max_len, Fn&& fn) {
-  std::vector<std::size_t> digits;
-  spec::Trace trace;
-  for (std::size_t len = 0; len <= max_len; ++len) {
-    digits.assign(len, 0);
-    for (;;) {
-      trace.clear();
-      for (std::size_t k = 0; k < len; ++k) {
-        trace.push_back({names[digits[k]], sim::Time::ns(10 * (k + 1))});
-      }
-      fn(trace);
-      // Next combination (odometer).
-      std::size_t pos = 0;
-      while (pos < len && ++digits[pos] == names.size()) {
-        digits[pos] = 0;
-        ++pos;
-      }
-      if (pos == len) break;
-      if (len == 0) break;
-    }
-    if (len == 0) continue;
-  }
-}
-
 std::string render(const spec::Trace& t, const spec::Alphabet& ab) {
   std::string out;
   for (const auto& ev : t) out += ab.text(ev.name) + " ";
@@ -52,13 +24,9 @@ class ExhaustiveAntecedent : public ::testing::TestWithParam<const char*> {};
 TEST_P(ExhaustiveAntecedent, DrctEqualsReferenceOnAllTraces) {
   spec::Alphabet ab;
   auto p = loom::testing::parse(GetParam(), ab);
-  std::vector<spec::Name> names;
-  p.alphabet().for_each(
-      [&](std::size_t id) { names.push_back(static_cast<spec::Name>(id)); });
-  const std::size_t max_len = names.size() <= 3 ? 7 : 5;
-
+  const std::vector<spec::Name> names = loom::testing::alphabet_names(p);
   std::size_t checked = 0;
-  for_all_traces(names, max_len, [&](const spec::Trace& t) {
+  loom::testing::for_all_traces(names, loom::testing::exhaustive_max_len(p), [&](const spec::Trace& t) {
     ++checked;
     const auto ref = spec::reference_check(p.antecedent(), t);
     AntecedentMonitor m(p.antecedent());
@@ -75,16 +43,7 @@ TEST_P(ExhaustiveAntecedent, DrctEqualsReferenceOnAllTraces) {
 
 INSTANTIATE_TEST_SUITE_P(
     Patterns, ExhaustiveAntecedent,
-    ::testing::Values("(a << i, true)",                //
-                      "(a << i, false)",               //
-                      "(a[2,3] << i, true)",           //
-                      "(({a, b}, &) << i, true)",      //
-                      "(({a, b}, |) << i, true)",      //
-                      "(({a, b}, |) << i, false)",     //
-                      "(a < b << i, true)",            //
-                      "(a[1,2] < b << i, true)",       //
-                      "(({a, b}, &) < c << i, true)",  //
-                      "(a < ({b, c}, |) << i, false)"));
+    ::testing::ValuesIn(loom::testing::kExhaustiveAntecedents));
 
 class ExhaustivePslSoundness : public ::testing::TestWithParam<const char*> {
 };
@@ -92,12 +51,10 @@ class ExhaustivePslSoundness : public ::testing::TestWithParam<const char*> {
 TEST_P(ExhaustivePslSoundness, NoFalseAlarmsAcceptedAgreement) {
   spec::Alphabet ab;
   auto p = loom::testing::parse(GetParam(), ab);
-  std::vector<spec::Name> names;
-  p.alphabet().for_each(
-      [&](std::size_t id) { names.push_back(static_cast<spec::Name>(id)); });
+  const std::vector<spec::Name> names = loom::testing::alphabet_names(p);
   const psl::Encoding enc = psl::encode(p);
 
-  for_all_traces(names, 6, [&](const spec::Trace& t) {
+  loom::testing::for_all_traces(names, 6, [&](const spec::Trace& t) {
     const auto ref = spec::reference_check(p.antecedent(), t);
     psl::ClauseMonitor m(enc);
     loom::testing::run_monitor(m, t);
@@ -128,12 +85,11 @@ class ExhaustiveTimed : public ::testing::TestWithParam<const char*> {};
 TEST_P(ExhaustiveTimed, DrctEqualsReferenceOnAllTraces) {
   spec::Alphabet ab;
   auto p = loom::testing::parse(GetParam(), ab);
-  std::vector<spec::Name> names;
-  p.alphabet().for_each(
-      [&](std::size_t id) { names.push_back(static_cast<spec::Name>(id)); });
+  const std::vector<spec::Name> names = loom::testing::alphabet_names(p);
 
   std::size_t checked = 0;
-  for_all_traces(names, 6, [&](const spec::Trace& t) {
+  loom::testing::for_all_traces(names, loom::testing::exhaustive_max_len(p),
+                                [&](const spec::Trace& t) {
     // Two end-of-observation points: right at the last event, and long
     // after (forcing deadline checks at finish()).
     const sim::Time last = t.empty() ? sim::Time::zero() : t.back().time;
@@ -153,14 +109,7 @@ TEST_P(ExhaustiveTimed, DrctEqualsReferenceOnAllTraces) {
 
 INSTANTIATE_TEST_SUITE_P(
     Patterns, ExhaustiveTimed,
-    ::testing::Values(
-        // Bound 35 ns with 10 ns spacing: deadlines bite mid-trace.
-        "(a => b, 35ns)",            //
-        "(a => b, 1us)",             //
-        "(a => b[1,2], 35ns)",       //
-        "(a[1,2] => b, 45ns)",       //
-        "(a => b < c, 55ns)",        //
-        "(a < b => c, 55ns)"));
+    ::testing::ValuesIn(loom::testing::kExhaustiveTimed));
 
 }  // namespace
 }  // namespace loom::mon

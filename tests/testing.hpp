@@ -81,6 +81,73 @@ inline mon::Verdict run_monitor(mon::Monitor& m, const spec::Trace& trace,
   return m.verdict();
 }
 
+/// Calls fn(trace) for every trace over `names` with length <= max_len.
+/// Events are spaced 10 ns apart.
+template <typename Fn>
+void for_all_traces(const std::vector<spec::Name>& names,
+                    std::size_t max_len, Fn&& fn) {
+  std::vector<std::size_t> digits;
+  spec::Trace trace;
+  for (std::size_t len = 0; len <= max_len; ++len) {
+    digits.assign(len, 0);
+    for (;;) {
+      trace.clear();
+      for (std::size_t k = 0; k < len; ++k) {
+        trace.push_back({names[digits[k]], sim::Time::ns(10 * (k + 1))});
+      }
+      fn(trace);
+      // Next combination (odometer).
+      std::size_t pos = 0;
+      while (pos < len && ++digits[pos] == names.size()) {
+        digits[pos] = 0;
+        ++pos;
+      }
+      if (pos == len) break;
+      if (len == 0) break;
+    }
+  }
+}
+
+/// The property lists of the exhaustive small-model sweeps
+/// (mon_exhaustive_test, and the reference cursor's resume sweep).
+inline constexpr const char* kExhaustiveAntecedents[] = {
+    "(a << i, true)",
+    "(a << i, false)",
+    "(a[2,3] << i, true)",
+    "(({a, b}, &) << i, true)",
+    "(({a, b}, |) << i, true)",
+    "(({a, b}, |) << i, false)",
+    "(a < b << i, true)",
+    "(a[1,2] < b << i, true)",
+    "(({a, b}, &) < c << i, true)",
+    "(a < ({b, c}, |) << i, false)",
+};
+inline constexpr const char* kExhaustiveTimed[] = {
+    // Bound 35 ns with 10 ns spacing: deadlines bite mid-trace.
+    "(a => b, 35ns)",
+    "(a => b, 1us)",
+    "(a => b[1,2], 35ns)",
+    "(a[1,2] => b, 45ns)",
+    "(a => b < c, 55ns)",
+    "(a < b => c, 55ns)",
+};
+
+/// The names of a property's alphabet, in id order.
+inline std::vector<spec::Name> alphabet_names(const spec::Property& p) {
+  std::vector<spec::Name> names;
+  p.alphabet().for_each(
+      [&](std::size_t id) { names.push_back(static_cast<spec::Name>(id)); });
+  return names;
+}
+
+/// The exhaustive sweeps' length bound for a property's Drct ≡ reference
+/// check: 6 for timed properties; 7 for antecedents over at most three
+/// names, else 5.
+inline std::size_t exhaustive_max_len(const spec::Property& p) {
+  if (p.is_timed()) return 6;
+  return p.alphabet().count() <= 3 ? 7 : 5;
+}
+
 /// Renders one event as "name@<ps>ps", falling back to "#id" for ids the
 /// alphabet does not know (e.g. traces parsed into a different alphabet).
 inline std::string render_event(const spec::TimedEvent& ev,
