@@ -114,6 +114,10 @@ struct Shard {
 // identity is stable and the hoisted replay host can keep borrowing it.
 struct UnitScratch {
   MutationResult mutant;       // mutate_into target, capacity reused
+  // The unit's mutation site index (abv::mutation_sites_into over the seed
+  // trace): recomputed at the top of every mutation unit, then shared by
+  // all of the unit's mutants — only its capacity carries over.
+  std::vector<std::size_t> sites;
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
   // Hoisted batched-replay host: one kernel + module per shard, reset
@@ -404,7 +408,7 @@ void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
     // Fill the next free lane slot; a mutant the oracle accepts (or a kind
     // that does not apply) leaves the slot free for the next draw.
     MutationResult& mutant = scratch.lane_mutants[scratch.lane_traces.size()];
-    if (!mutate_into(valid, kAllKinds[k], property, compiled.alphabet(), rng,
+    if (!mutate_into(valid, scratch.sites, kAllKinds[k], property, rng,
                      mutant)) {
       continue;
     }
@@ -436,6 +440,9 @@ void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
   const std::size_t k = slot - 1;
   auto& stats = out.partial.mutation[k];
   support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
+  // Where the in-alphabet events of the seed trace sit is a per-unit fact:
+  // index it once here instead of rescanning the trace for every mutant.
+  mutation_sites_into(valid, job.compiled.alphabet(), scratch.sites);
   // Wave execution wants lanes to fill (lane_width > 1) and VM frames to
   // restore into (chosen backend Vm).  Any other combination runs the
   // scalar loop below — silently, because Auto may legitimately resolve
@@ -449,11 +456,10 @@ void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
   }
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
     // The mutant lands in the worker's reusable buffer (identical bytes
-    // and Rng draws to mutate()).  The compiled alphabet snapshot saves
-    // the per-call NameSet rebuild.
+    // and Rng draws to mutate()), drawn from the unit's site index.
     MutationResult& mutant = scratch.mutant;
-    if (!mutate_into(valid, kAllKinds[k], property,
-                     job.compiled.alphabet(), rng, mutant)) {
+    if (!mutate_into(valid, scratch.sites, kAllKinds[k], property, rng,
+                     mutant)) {
       continue;
     }
     ++stats.applied;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/diagnostics.hpp"
+
 namespace loom::abv {
 
 const char* to_string(MutationKind k) {
@@ -17,17 +19,6 @@ const char* to_string(MutationKind k) {
 
 namespace {
 
-/// Collects the indices of trace events that belong to the property
-/// alphabet into `out` (cleared first; capacity reused across calls).
-void relevant_positions_into(const spec::Trace& trace,
-                             const spec::NameSet& alphabet,
-                             std::vector<std::size_t>& out) {
-  out.clear();
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    if (alphabet.test(trace[k].name)) out.push_back(k);
-  }
-}
-
 /// Copies `src` into `dst` with room for one extra event, reusing `dst`'s
 /// capacity.  Every operator below rebuilds the mutant from the source
 /// trace, so a dirty scratch from an earlier call can never leak through.
@@ -39,15 +30,20 @@ void copy_with_headroom(const spec::Trace& src, spec::Trace& dst) {
 
 }  // namespace
 
-bool mutate_into(const spec::Trace& trace, MutationKind kind,
-                 const spec::Property& property,
-                 const spec::NameSet& alphabet, support::Rng& rng,
+void mutation_sites_into(const spec::Trace& trace,
+                         const spec::NameSet& alphabet,
+                         std::vector<std::size_t>& out) {
+  out.clear();
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (alphabet.test(trace[k].name)) out.push_back(k);
+  }
+}
+
+bool mutate_into(const spec::Trace& trace,
+                 const std::vector<std::size_t>& sites, MutationKind kind,
+                 const spec::Property& property, support::Rng& rng,
                  MutationResult& out) {
-  // One site index per thread: content is recomputed from scratch each
-  // call, so reuse is invisible to results — it only avoids the per-call
-  // vector growth the profile showed.
-  thread_local std::vector<std::size_t> sites;
-  relevant_positions_into(trace, alphabet, sites);
+  LOOM_DASSERT(sites.empty() || sites.back() < trace.size());
   out.kind = kind;
   spec::Trace& t = out.trace;
 
@@ -119,6 +115,18 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
     }
   }
   return false;
+}
+
+bool mutate_into(const spec::Trace& trace, MutationKind kind,
+                 const spec::Property& property,
+                 const spec::NameSet& alphabet, support::Rng& rng,
+                 MutationResult& out) {
+  // One site index per thread: content is recomputed from scratch each
+  // call, so reuse is invisible to results — it only avoids the per-call
+  // vector growth.
+  thread_local std::vector<std::size_t> sites;
+  mutation_sites_into(trace, alphabet, sites);
+  return mutate_into(trace, sites, kind, property, rng, out);
 }
 
 bool mutate_into(const spec::Trace& trace, MutationKind kind,

@@ -11,11 +11,15 @@
 //! Ownership: mutate() returns a fresh trace; mutate_into() writes into a
 //! caller-owned MutationResult, reusing its buffer's capacity across calls
 //! (the campaign engine's per-worker scratch); inputs are never modified.
+//! The site index (mutation_sites_into: where the in-alphabet events sit)
+//! is caller-owned in the sites form — the campaign engine computes it once
+//! per work unit into its per-worker scratch and reuses it for all of the
+//! unit's mutants of one seed trace.  The alphabet form and the convenience
+//! overloads build it per call into a thread-local buffer instead.
 //! Thread-safety: pure functions of (trace, property, rng) — safe to call
 //! concurrently as long as each caller owns its Rng and, for mutate_into,
-//! its output scratch (a small thread-local site index is reused
-//! internally, which keeps both entry points allocation-free in steady
-//! state without changing any result).
+//! its output scratch (the thread-local site index keeps every entry point
+//! allocation-free in steady state without changing any result).
 //! Determinism: a given Rng stream yields the same mutant sequence on any
 //! thread; the campaign engine keys streams by (seed, mutation slot) so
 //! its mutants never depend on scheduling.  mutate_into() is byte-identical
@@ -25,6 +29,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "spec/ast.hpp"
 #include "spec/reference.hpp"
@@ -85,13 +90,30 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  MutationResult& out);
 
 /// Precomputed-alphabet form, for callers that already hold the property's
-/// alphabet (the campaign engine reuses the compiled plan's snapshot): the
-/// only fully allocation-free entry point, since the convenience overloads
-/// must materialize a fresh NameSet per call.  `alphabet` must equal
-/// property.alphabet().
+/// alphabet (a compiled plan's snapshot): allocation-free in steady state,
+/// since the convenience overloads must materialize a fresh NameSet per
+/// call.  `alphabet` must equal property.alphabet().  Computes the site
+/// index per call, then runs the sites form below.
 bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  const spec::Property& property,
                  const spec::NameSet& alphabet, support::Rng& rng,
+                 MutationResult& out);
+
+/// The site index of `trace` under `alphabet`: the ascending indices of its
+/// in-alphabet events, written into `out` (cleared first, capacity reused).
+/// It depends on the trace and the alphabet only — never on the kind or the
+/// Rng — so one index serves every mutant drawn from the same trace.
+void mutation_sites_into(const spec::Trace& trace,
+                         const spec::NameSet& alphabet,
+                         std::vector<std::size_t>& out);
+
+/// Precomputed-sites form, the one operator implementation every other
+/// overload lands in: `sites` must equal what mutation_sites_into(trace,
+/// property.alphabet(), ...) writes.  Same result and Rng draws as
+/// mutate(); allocation-free once `out` is warm.
+bool mutate_into(const spec::Trace& trace,
+                 const std::vector<std::size_t>& sites, MutationKind kind,
+                 const spec::Property& property, support::Rng& rng,
                  MutationResult& out);
 
 }  // namespace loom::abv

@@ -509,9 +509,19 @@ void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
   // max-ops totals land identically, they just flush once per slice.
   MonitorStats& st = *f.stats;
   const Insn* const code = p.code.data();
+  // Every program opens with retire.if: once the verdict is in its mask,
+  // each further event only bumps the ordinal and charges 0 ops (leaving
+  // max-ops alone), and nothing in a slice can un-retire the frame — so
+  // the rest of the slice fast-forwards in O(1).
+  LOOM_DASSERT(!p.code.empty() && code[0].op == Op::RetireIfDone);
+  const unsigned retire_mask = code[0].a;
   std::uint64_t total = 0;
   std::uint64_t max_ops = st.max_ops_per_event;
   for (const auto* ev = begin; ev != end; ++ev) {
+    if ((retire_mask >> static_cast<unsigned>(*f.verdict)) & 1) {
+      *f.ordinal += static_cast<std::uint64_t>(end - ev);
+      break;
+    }
     const std::uint64_t ops = step_event_core(p, f, code, ev->name, ev->time);
     total += ops;
     if (ops > max_ops) max_ops = ops;

@@ -68,7 +68,10 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
 /// Steps a whole event slice through one frame: identical state, verdict
 /// and Figure-6 accounting to calling vm_step_event per event, but the
 /// program pointer stays hoisted and the stats flush once per slice — the
-/// campaign's batched mutant replay lands here.
+/// campaign's batched mutant replay lands here.  Once the frame retires
+/// (its verdict is in the program's retire.if mask) the rest of the slice
+/// is skipped in O(1): per-event stepping would only bump the ordinal and
+/// charge 0 ops there.
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
                   const spec::TimedEvent* begin, const spec::TimedEvent* end);
 void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
@@ -171,8 +174,10 @@ class VmLaneBatch {
   /// Block-lockstep over per-lane traces (the mutant-replay shape): lanes
   /// advance together in fixed event-index windows, each lane's sub-slice
   /// running through vm_run_batch's hoisted inner loop — lanes whose trace
-  /// is exhausted simply sit out the tail.  Equivalent, bit for bit, to
-  /// running each lane's trace through its own monitor.
+  /// is exhausted simply sit out the tail, and a lane whose verdict is
+  /// final fast-forwards each of its later blocks in O(1) (ordinal and
+  /// event count only).  Equivalent, bit for bit, to running each lane's
+  /// trace through its own monitor.
   void run(const std::vector<const spec::Trace*>& traces);
   /// Suffix-replay lockstep: lane l steps only events
   /// [starts[l], traces[l]->size()) of its trace — the checkpointed-mutant

@@ -20,11 +20,6 @@ void Bitset::reset(std::size_t i) {
   words_[i / kBits] &= ~(std::uint64_t{1} << (i % kBits));
 }
 
-bool Bitset::test(std::size_t i) const {
-  if (i >= capacity()) return false;
-  return (words_[i / kBits] >> (i % kBits)) & 1u;
-}
-
 bool Bitset::empty() const {
   return std::all_of(words_.begin(), words_.end(),
                      [](std::uint64_t w) { return w == 0; });

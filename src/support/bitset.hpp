@@ -26,7 +26,12 @@ class Bitset {
 
   void set(std::size_t i);
   void reset(std::size_t i);
-  bool test(std::size_t i) const;
+  /// Inline: every oracle projection and fragment probe lands here, and
+  /// the build has no LTO to inline it across translation units.
+  bool test(std::size_t i) const {
+    if (i >= capacity()) return false;
+    return (words_[i / kBits] >> (i % kBits)) & 1u;
+  }
 
   /// True when no bit is set.
   bool empty() const;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "abv/campaign.hpp"
+#include "abv/mutate.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitors.hpp"
 #include "sim/scheduler.hpp"
@@ -144,33 +145,46 @@ TEST_P(MutateIntoFuzz, ByteIdenticalToMutateAcrossKindsAndSeeds) {
   sopt.rounds = 4;
   sopt.noise_permille = 150;
 
-  // One scratch for the whole fuzz: every call sees whatever the previous
-  // kind/seed left behind — sizes, times and names all differ, so a leak
-  // of stale bytes would surface as a trace mismatch.
+  // One scratch per in-place form for the whole fuzz: every call sees
+  // whatever the previous kind/seed left behind — sizes, times and names
+  // all differ, so a leak of stale bytes would surface as a trace mismatch.
+  // The sites form draws from a per-seed index, the way the campaign
+  // engine indexes a unit once and draws all of its mutants from it.
   MutationResult scratch;
+  MutationResult by_sites;
+  std::vector<std::size_t> sites;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     support::Rng gen_rng = support::Rng::stream(seed, 0);
     const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+    mutation_sites_into(valid, alphabet, sites);
     for (const MutationKind kind : kKinds) {
       // Identical streams: the contract says identical Rng consumption.
       support::Rng rng_a = support::Rng::stream(seed, 7);
       support::Rng rng_b = support::Rng::stream(seed, 7);
+      support::Rng rng_c = support::Rng::stream(seed, 7);
       for (int round = 0; round < 8; ++round) {
         const auto fresh = mutate(valid, kind, property, rng_a);
         const bool applied =
             mutate_into(valid, kind, property, alphabet, rng_b, scratch);
+        const bool indexed =
+            mutate_into(valid, sites, kind, property, rng_c, by_sites);
         const std::string what = std::string(to_string(kind)) + " seed=" +
                                  std::to_string(seed) + " round=" +
                                  std::to_string(round);
         ASSERT_EQ(applied, fresh.has_value()) << what;
+        ASSERT_EQ(indexed, applied) << what;
         if (!applied) continue;
-        EXPECT_EQ(scratch.kind, fresh->kind) << what;
-        EXPECT_EQ(scratch.position, fresh->position) << what;
-        EXPECT_TRUE(
-            loom::testing::traces_equal(scratch.trace, fresh->trace, ab))
-            << what;
+        for (const MutationResult* in_place : {&scratch, &by_sites}) {
+          EXPECT_EQ(in_place->kind, fresh->kind) << what;
+          EXPECT_EQ(in_place->position, fresh->position) << what;
+          EXPECT_TRUE(
+              loom::testing::traces_equal(in_place->trace, fresh->trace, ab))
+              << what;
+        }
         // And the streams must still agree for the *next* draw.
-        EXPECT_EQ(rng_a.next(), rng_b.next()) << what;
+        const std::uint64_t next = rng_a.next();
+        EXPECT_EQ(rng_b.next(), next) << what;
+        EXPECT_EQ(rng_c.next(), next) << what;
       }
     }
   }
@@ -181,6 +195,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("(n << i, true)",
                       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
                       "(p[2,3] => q[1,4] < r, 10us)"));
+
+TEST(MutationSites, AscendingInAlphabetIndicesOfAHandTrace) {
+  spec::Alphabet ab;
+  const spec::Property property =
+      loom::testing::parse("(({a, b}, &) << s, true)", ab);
+  const spec::Trace trace = loom::testing::trace_of("x a y b a s z", ab);
+  // Dirty on entry: the index is cleared, never appended to.
+  std::vector<std::size_t> sites = {99, 7};
+  mutation_sites_into(trace, property.alphabet(), sites);
+  EXPECT_EQ(sites, (std::vector<std::size_t>{1, 3, 4, 5}));
+
+  mutation_sites_into(spec::Trace{}, property.alphabet(), sites);
+  EXPECT_TRUE(sites.empty());
+
+  // A trace with no in-alphabet event has no site, so only the kinds that
+  // do not draw from the index can apply.
+  const spec::Trace noise = loom::testing::trace_of("x y z", ab);
+  mutation_sites_into(noise, property.alphabet(), sites);
+  EXPECT_TRUE(sites.empty());
+  MutationResult out;
+  support::Rng rng = support::Rng::stream(1, 1);
+  EXPECT_FALSE(
+      mutate_into(noise, sites, MutationKind::Drop, property, rng, out));
+  EXPECT_FALSE(
+      mutate_into(noise, sites, MutationKind::Duplicate, property, rng, out));
+  EXPECT_FALSE(mutate_into(noise, sites, MutationKind::SwapAdjacent, property,
+                           rng, out));
+  EXPECT_TRUE(mutate_into(noise, sites, MutationKind::EarlyTrigger, property,
+                          rng, out));
+}
 
 // --- plan-reusing reference oracle ----------------------------------------
 

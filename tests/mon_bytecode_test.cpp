@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -613,6 +614,205 @@ TEST(MonBytecodeLanes, PartialWavesLeaveUnlistedLanesUntouched) {
     EXPECT_EQ(lanes.stats(l).events, 0u) << "lane " << l;
     EXPECT_EQ(lanes.stats(l).ops, ops_after_reset) << "lane " << l;
     EXPECT_EQ(lanes.verdict(l), Verdict::Monitoring) << "lane " << l;
+  }
+}
+
+// --- retired-frame fast-forward --------------------------------------------
+// Once a frame's verdict is final, vm_run_batch skips the rest of its slice
+// in O(1): the ordinal jumps, events counts the whole slice, ops and
+// max-ops stay put.  Per-event observe() still dispatches every event, so
+// it is the reference here — and since the ordinal is serialized, the
+// snapshot bytes expose any off-by-one in the jump.
+
+struct RetireCase {
+  const char* label;
+  const char* source;
+  const char* retiring;  // events whose last one retires the frame
+  Verdict retired;       // the final verdict it retires on
+};
+
+constexpr RetireCase kRetireCases[] = {
+    // A non-repeated antecedent retires on Holds once its pattern closes.
+    {"antecedent-holds", "(({a, b, c}, &) << s, false)", "a b c s",
+     Verdict::Holds},
+    {"antecedent-violated", "(n << i, true)", "i", Verdict::Violated},
+    // A timed property retires only on Violated (here: p past its bound).
+    {"timed-violated", "(p[2,3] => q[1,4] < r, 10us)", "p p p p",
+     Verdict::Violated},
+};
+
+// Where the retiring event lands: the very first event, then the first, a
+// middle and the last event of the second 64-event lockstep block.
+constexpr std::size_t kRetireAt[] = {0, 64, 95, 127};
+constexpr std::size_t kRetireTraceLen = 200;
+
+// Noise up to `at`, the retiring events ending exactly at `at`, then a
+// tail cycling through the property's names (work a live frame would do).
+// Empty when the retiring events do not fit before `at`.
+spec::Trace retiring_trace(const RetireCase& c, std::size_t at,
+                           spec::Alphabet& ab,
+                           const std::vector<spec::Name>& names) {
+  const spec::Trace retiring = loom::testing::trace_of(c.retiring, ab);
+  if (at + 1 < retiring.size()) return {};
+  const std::size_t first = at + 1 - retiring.size();
+  spec::Trace t;
+  for (std::size_t k = 0; k < kRetireTraceLen; ++k) {
+    spec::Name name = ab.name("noise_x");
+    if (k >= first && k <= at) {
+      name = retiring[k - first].name;
+    } else if (k > at) {
+      name = names[k % names.size()];
+    }
+    t.push_back({name, sim::Time::ns(k + 1)});
+  }
+  return t;
+}
+
+void expect_same_frame(const MonitorStats& stats, Verdict verdict,
+                       const std::optional<Violation>& violation,
+                       const Snapshot& snap, VmMonitor& want,
+                       const std::string& what) {
+  EXPECT_EQ(stats.events, want.stats().events) << what;
+  EXPECT_EQ(stats.ops, want.stats().ops) << what;
+  EXPECT_EQ(stats.max_ops_per_event, want.stats().max_ops_per_event) << what;
+  EXPECT_EQ(verdict, want.verdict()) << what;
+  ASSERT_EQ(violation.has_value(), want.violation().has_value()) << what;
+  if (violation) {
+    EXPECT_EQ(violation->event_ordinal, want.violation()->event_ordinal)
+        << what;
+  }
+  Snapshot want_snap;
+  want.snapshot(want_snap);
+  EXPECT_EQ(snap.words(), want_snap.words()) << what << " [snapshot]";
+  ASSERT_EQ(snap.string_count(), want_snap.string_count()) << what;
+  for (std::size_t i = 0; i < snap.string_count(); ++i) {
+    EXPECT_EQ(snap.string_at(i), want_snap.string_at(i)) << what;
+  }
+}
+
+void expect_same_frame(VmMonitor& got, VmMonitor& want,
+                       const std::string& what) {
+  Snapshot snap;
+  got.snapshot(snap);
+  expect_same_frame(got.stats(), got.verdict(), got.violation(), snap, want,
+                    what);
+}
+
+void expect_same_frame(VmLaneBatch& lanes, std::size_t lane, VmMonitor& want,
+                       const std::string& what) {
+  Snapshot snap;
+  lanes.snapshot(lane, snap);
+  expect_same_frame(lanes.stats(lane), lanes.verdict(lane),
+                    lanes.violation(lane), snap, want, what);
+}
+
+TEST(MonBytecodeRetire, BatchAndLockstepFastForwardEqualPerEventObserve) {
+  for (const auto& c : kRetireCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto names = names_of(p, ab);
+    const auto program = compile_vm(p);
+
+    std::vector<spec::Trace> traces;
+    std::vector<std::size_t> ats;
+    std::vector<std::unique_ptr<VmMonitor>> solos;
+    for (const std::size_t at : kRetireAt) {
+      spec::Trace t = retiring_trace(c, at, ab, names);
+      if (t.empty()) continue;
+      const std::string what =
+          std::string(c.label) + " retire-at " + std::to_string(at);
+      // Per-event reference; it must retire at exactly `at`.
+      auto solo = std::make_unique<VmMonitor>(program);
+      for (std::size_t k = 0; k < t.size(); ++k) {
+        solo->observe(t[k].name, t[k].time);
+        if (k + 1 == at) {
+          ASSERT_NE(solo->verdict(), Verdict::Holds) << what;
+          ASSERT_NE(solo->verdict(), Verdict::Violated) << what;
+        }
+        if (k == at) ASSERT_EQ(solo->verdict(), c.retired) << what;
+      }
+      ASSERT_EQ(solo->verdict(), c.retired) << what;
+
+      VmMonitor whole(program);
+      whole.observe_batch(t.data(), t.data() + t.size());
+      expect_same_frame(whole, *solo, what + " [one slice]");
+
+      // A slice that retires on its first event, and one that starts on
+      // an already retired frame.
+      for (const std::size_t cut : {at, at + 1}) {
+        VmMonitor sliced(program);
+        sliced.observe_batch(t.data(), t.data() + cut);
+        sliced.observe_batch(t.data() + cut, t.data() + t.size());
+        expect_same_frame(sliced, *solo,
+                          what + " [cut " + std::to_string(cut) + "]");
+      }
+      traces.push_back(std::move(t));
+      ats.push_back(at);
+      solos.push_back(std::move(solo));
+    }
+    ASSERT_GE(traces.size(), 3u) << c.label;
+
+    // Lanes retiring at different points of the same lockstep sweep.
+    std::vector<const spec::Trace*> ptrs;
+    for (const auto& t : traces) ptrs.push_back(&t);
+    VmLaneBatch lanes(program, traces.size());
+    lanes.run(ptrs);
+    VmLaneBatch suffix_lanes(program, traces.size());
+    suffix_lanes.run(ptrs, std::vector<std::size_t>(traces.size(), 0));
+    for (std::size_t l = 0; l < traces.size(); ++l) {
+      const std::string what = std::string(c.label) + " retire-at " +
+                               std::to_string(ats[l]) + " lane " +
+                               std::to_string(l);
+      expect_same_frame(lanes, l, *solos[l], what + " [lockstep]");
+      expect_same_frame(suffix_lanes, l, *solos[l], what + " [suffix]");
+      const sim::Time end = traces[l].back().time;
+      lanes.finish(l, end);
+      solos[l]->finish(end);
+      expect_same_frame(lanes, l, *solos[l], what + " [finish]");
+    }
+  }
+}
+
+TEST(MonBytecodeRetire, RestoredRetiredSnapshotKeepsFastForwarding) {
+  // A snapshot taken on or after the retiring event (a checkpoint rung
+  // past the verdict) restores into a monitor or a lane and resumes.
+  for (const auto& c : kRetireCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto names = names_of(p, ab);
+    const auto program = compile_vm(p);
+    constexpr std::size_t kAt = 95;
+    const spec::Trace t = retiring_trace(c, kAt, ab, names);
+    ASSERT_FALSE(t.empty()) << c.label;
+
+    VmMonitor full(program);
+    for (const auto& ev : t) full.observe(ev.name, ev.time);
+
+    for (const std::size_t cut : {kAt + 1, kAt + 6}) {
+      const std::string what =
+          std::string(c.label) + " restore-at " + std::to_string(cut);
+      VmMonitor prefix(program);
+      for (std::size_t k = 0; k < cut; ++k) {
+        prefix.observe(t[k].name, t[k].time);
+      }
+      ASSERT_EQ(prefix.verdict(), c.retired) << what;
+      Snapshot rung;
+      prefix.snapshot(rung);
+
+      VmMonitor resumed(program);
+      resumed.restore(rung);
+      resumed.observe_batch(t.data() + cut, t.data() + t.size());
+      expect_same_frame(resumed, full, what + " [monitor]");
+
+      // Lane 0 resumes from the rung, lane 1 replays the whole trace: one
+      // retires by restore, the other mid-sweep.
+      VmLaneBatch lanes(program, 2);
+      lanes.restore(0, rung);
+      lanes.reset(1);
+      lanes.run({&t, &t}, {cut, 0});
+      expect_same_frame(lanes, 0, full, what + " [restored lane]");
+      expect_same_frame(lanes, 1, full, what + " [full lane]");
+    }
   }
 }
 

@@ -67,17 +67,27 @@ TEST(AllocCounter, WarmedMutateIntoScratchIsAllocationFree) {
       abv::MutationKind::SwapAdjacent, abv::MutationKind::EarlyTrigger,
       abv::MutationKind::StallDeadline};
 
+  // Both in-place forms, the sites form driven the way the campaign engine
+  // drives it: the site index is rebuilt into its warm buffer per unit,
+  // then drawn from for every mutant.
   abv::MutationResult scratch;
+  std::vector<std::size_t> sites;
   support::Rng rng = support::Rng::stream(3, 1);
-  for (const auto kind : kKinds) {  // warm the buffer + the site index
+  abv::mutation_sites_into(valid, alphabet, sites);
+  for (const auto kind : kKinds) {  // warm the buffers + the site indexes
     (void)abv::mutate_into(valid, kind, property, alphabet, rng, scratch);
+    (void)abv::mutate_into(valid, sites, kind, property, rng, scratch);
   }
 
   AllocCounter::Scope scope;
   std::size_t applied = 0;
   for (int round = 0; round < 16; ++round) {
+    abv::mutation_sites_into(valid, alphabet, sites);
     for (const auto kind : kKinds) {
       if (abv::mutate_into(valid, kind, property, alphabet, rng, scratch)) {
+        ++applied;
+      }
+      if (abv::mutate_into(valid, sites, kind, property, rng, scratch)) {
         ++applied;
       }
     }

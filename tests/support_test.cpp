@@ -40,6 +40,31 @@ TEST(Bitset, GrowsAutomatically) {
   EXPECT_GE(b.capacity(), 701u);
 }
 
+TEST(Bitset, TestAtCapacityAndWordEdges) {
+  // test() is inline on every oracle and fragment probe: the beyond-
+  // capacity path must keep answering false, never read past the words.
+  Bitset b(64);
+  ASSERT_EQ(b.capacity(), 64u);
+  b.set(63);
+  EXPECT_TRUE(b.test(b.capacity() - 1));
+  EXPECT_FALSE(b.test(b.capacity()));
+  EXPECT_FALSE(b.test(62));
+
+  b.set(64);  // grows into a second word
+  ASSERT_EQ(b.capacity(), 128u);
+  EXPECT_TRUE(b.test(63));
+  EXPECT_TRUE(b.test(64));
+  EXPECT_FALSE(b.test(65));
+  EXPECT_FALSE(b.test(b.capacity() - 1));
+  EXPECT_FALSE(b.test(b.capacity()));
+
+  const Bitset none;
+  EXPECT_EQ(none.capacity(), 0u);
+  EXPECT_FALSE(none.test(0));
+  EXPECT_FALSE(none.test(63));
+  EXPECT_FALSE(none.test(64));
+}
+
 TEST(Bitset, UnionIntersection) {
   Bitset a, b;
   a.set(1);
