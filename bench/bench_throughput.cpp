@@ -190,9 +190,10 @@ void BM_VmLaneBatch(benchmark::State& state) {
   Fixture fx(kConfig[state.range(0)]);
   mon::VmLaneBatch lanes(mon::compile_vm(fx.property), kLanes);
   std::vector<const spec::Trace*> traces(kLanes, &fx.trace);
+  const std::vector<std::size_t> starts(kLanes, 0);
   for (auto _ : state) {
     for (std::size_t l = 0; l < kLanes; ++l) lanes.reset(l);
-    lanes.run(traces);
+    lanes.run(traces, starts);
     benchmark::DoNotOptimize(lanes.verdict(0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -281,10 +282,10 @@ BENCHMARK(BM_CampaignSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_CampaignMutationHeavy(benchmark::State& state) {
   // Mutation-heavy campaign on the default engine: per-seed trace cache,
-  // per-worker mutant buffers, per-shard monitor pools, the hoisted replay
-  // host and — Auto resolving to the VM — lane-batched waves.  Its results
-  // equal the reference campaign's (the differential suites); the wall
-  // clock and allocs/mutant, ~0 once the arena is warm, are the numbers.
+  // per-worker mutant buffers, per-shard monitor pools and — Auto
+  // resolving to the VM — lane-batched waves.  Its results equal the
+  // reference campaign's (the differential suites); the wall clock and
+  // allocs/mutant are the numbers.
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;
   opt.seeds = 64;

@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
       mon::VmLaneBatch batch(program, lanes);
       const std::vector<const spec::Trace*> ptrs(lanes, &*trace);
       for (std::size_t l = 0; l < lanes; ++l) batch.reset(l);
-      batch.run(ptrs);
+      batch.run(ptrs, std::vector<std::size_t>(lanes, 0));
       for (std::size_t l = 0; l < lanes; ++l) {
         batch.finish(l, end);
         const bool same =

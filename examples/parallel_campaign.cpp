@@ -281,50 +281,40 @@ int main(int argc, char** argv) {
     opt.worker_command.clear();
   }
 
-  std::size_t stamped = 0;
-  std::size_t reused = 0;
-  std::size_t checkpoint_hits = 0;
-  std::size_t events_skipped = 0;
-  std::size_t events_stepped = 0;
-  std::size_t lane_waves = 0;
-  std::size_t lanes_filled = 0;
-  std::size_t lane_capacity = 0;
-  for (const auto& r : parallel) {
-    stamped += r.compile_stats.instances_stamped;
-    reused += r.compile_stats.instance_reuses;
-    checkpoint_hits += r.checkpoint_hits;
-    events_skipped += r.events_skipped;
-    events_stepped += static_cast<std::size_t>(r.monitor_stats.events);
-    lane_waves += static_cast<std::size_t>(r.lane_waves);
-    lanes_filled += static_cast<std::size_t>(r.lanes_filled);
-    lane_capacity += static_cast<std::size_t>(r.lane_capacity);
-  }
+  abv::CampaignResult total;
+  for (const auto& r : parallel) total.merge(r);
   std::printf(
       "compiled plans: %zu properties translated once each; "
       "%zu instances stamped, %zu reset-reused\n",
-      properties.size(), stamped, reused);
+      properties.size(), total.compile_stats.instances_stamped,
+      total.compile_stats.instance_reuses);
   if (checkpoint_stride > 0) {
     // Guard the denominator: a zero-seed / empty-trace campaign steps and
     // skips nothing, and "0%" beats printing nan.
-    const std::size_t replayable = events_skipped + events_stepped;
+    const std::size_t skipped = total.events_skipped;
+    const std::size_t replayable =
+        skipped + static_cast<std::size_t>(total.monitor_stats.events);
     std::printf(
         "incremental replay (stride %zu): %zu checkpoint restores skipped "
         "%zu prefix events (%.0f%% of the %zu the monitors would have "
         "stepped)\n",
-        checkpoint_stride, checkpoint_hits, events_skipped,
+        checkpoint_stride, total.checkpoint_hits, skipped,
         replayable == 0 ? 0.0
-                        : 100.0 * static_cast<double>(events_skipped) /
+                        : 100.0 * static_cast<double>(skipped) /
                               static_cast<double>(replayable),
         replayable);
   }
-  if (lane_waves > 0) {
+  if (total.lane_waves > 0) {
+    const auto waves = static_cast<std::size_t>(total.lane_waves);
+    const auto filled = static_cast<std::size_t>(total.lanes_filled);
+    const auto capacity = static_cast<std::size_t>(total.lane_capacity);
     std::printf(
         "lane-batched waves (width %zu): %zu waves, %zu/%zu lanes filled "
         "(%.0f%% occupancy)\n",
-        lanes, lane_waves, lanes_filled, lane_capacity,
-        lane_capacity == 0 ? 0.0
-                           : 100.0 * static_cast<double>(lanes_filled) /
-                                 static_cast<double>(lane_capacity));
+        lanes, waves, filled, capacity,
+        capacity == 0 ? 0.0
+                      : 100.0 * static_cast<double>(filled) /
+                            static_cast<double>(capacity));
   }
   std::printf("serial:   %7.1f ms\n", serial_s * 1e3);
   std::printf("parallel: %7.1f ms  (%.2fx on %zu threads)\n",

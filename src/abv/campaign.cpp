@@ -10,11 +10,10 @@
 #include <optional>
 #include <thread>
 
-#include "mon/monitors.hpp"
+#include "mon/antecedent_monitor.hpp"
 #include "mon/snapshot.hpp"
 #include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
-#include "sim/scheduler.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace_cache.hpp"
@@ -103,38 +102,28 @@ struct Shard {
 
 // Per-worker scratch arena for the steady-state loop.  Two lifetimes
 // coexist inside it:
-//   - the *buffers* live for the worker: the mutant trace's capacity
+//   - the *buffers* live for the worker: each mutant slot's trace capacity
 //     ratchets up once and every later mutate_into reuses it;
-//   - the *pool* (monitor, ViaPSL cross-check instance, replay host) is
-//     scoped to one shard: begin_shard() drops it, so the draw/stamp
-//     accounting is a pure function of the deterministic shard layout and
-//     never of which worker ran which shard — that is what keeps the
-//     instance counters identical between serial and parallel runs.
-// Shards never span properties, so within a shard the pooled monitor's
-// identity is stable and the hoisted replay host can keep borrowing it.
+//   - the *pool* (monitor, ViaPSL cross-check instance) is scoped to one
+//     shard: begin_shard() drops it, so the draw/stamp accounting is a pure
+//     function of the deterministic shard layout and never of which worker
+//     ran which shard — that is what keeps the instance counters identical
+//     between serial and parallel runs.
 struct UnitScratch {
-  MutationResult mutant;       // mutate_into target, capacity reused
   // The unit's mutation site index (abv::mutation_sites_into over the seed
   // trace): recomputed at the top of every mutation unit, then shared by
   // all of the unit's mutants — only its capacity carries over.
   std::vector<std::size_t> sites;
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
-  // Hoisted batched-replay host: one kernel + module per shard, reset
-  // between mutants, watchdogs off (the kernel is never pumped, so an
-  // armed entry could never fire — skipping it keeps the timed queue
-  // empty).  Declaration order matters: the module borrows the scheduler
-  // and is destroyed first.
-  std::optional<sim::Scheduler> replay_sched;
-  std::optional<mon::MonitorModule> replay_module;
 
-  // Wave arena (lane-batched mutant replay, CampaignOptions::lane_width):
-  // per-lane reusable mutant slots — each ratchets its capacity like
-  // `mutant` — plus the VmLaneBatch the wave scheduler fills and runs, and
-  // the per-wave trace/start scatter vectors.  Unlike the monitor pool the
-  // batch survives shard boundaries: it borrows nothing (it shares
-  // ownership of the program) and carries no draw accounting, so the wave
-  // scheduler just rebuilds it whenever the shard's program or the lane
+  // Wave arena (run_mutation_unit): reusable mutant slots — one per lane
+  // of the widest wave so far, each ratcheting its trace capacity — plus
+  // the per-wave trace/start/rung scatter vectors and, on Vm waves wider
+  // than one mutant, the VmLaneBatch they run through.  Unlike the monitor
+  // pool the batch survives shard boundaries: it borrows nothing (it
+  // shares ownership of the program) and carries no draw accounting, so
+  // the unit just rebuilds it whenever the shard's program or the lane
   // width differs from what it was built for — every lane is restored or
   // reset before it runs either way.
   std::vector<MutationResult> lane_mutants;
@@ -150,11 +139,9 @@ struct UnitScratch {
   spec::RefCursor oracle;
 
   /// Drops every pooled instance; buffers keep their capacity.  Also the
-  /// end-of-shard cleanup, so nothing borrowed (monitor, alphabet) can
-  /// dangle past the campaign in a worker's thread-local scratch.
+  /// end-of-shard cleanup, so nothing borrowed can dangle past the
+  /// campaign in a worker's thread-local scratch.
   void begin_shard() {
-    replay_module.reset();
-    replay_sched.reset();
     monitor.reset();
     viapsl.reset();
   }
@@ -324,43 +311,68 @@ void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
   }
 }
 
-// Lane-batched wave execution of one mutation unit's inner loop (the
-// tentpole of CampaignOptions::lane_width): mutants are mutated into
-// per-lane scratch slots until the wave holds lane_width reference-rejected
-// mutants (or the unit runs out), each lane is restored from its own
-// checkpoint-ladder floor rung — the same mon::Snapshot rungs the scalar
-// path restores, written by a pooled VmMonitor and read back into a batch
-// lane, which the shared snapshot format makes exact — and the whole wave
-// advances through VmLaneBatch's block-lockstep with per-lane
-// suffix starts.  Verdicts, kill accounting and MonitorStats then merge
-// per lane in buffering order, which is exactly the scalar mutant order.
+// One mutation unit: the Fig. 1 inner loop over the unit's mutants, run in
+// waves.  Each mutant is rewritten into the next free wave slot
+// (mutate_into, drawing the unit's Rng stream in mutant order), checked by
+// the reference oracle resumed from its checkpoint-ladder floor rung, and —
+// when the oracle rejects it — buffered as (trace, suffix start, rung).  A
+// wave flushes once it holds `width` mutants, and once more for the unit's
+// final, usually partial, wave.
 //
-// Byte-for-byte contract (the eighth invariant, campaign_lane_diff_test):
-// every counter this produces — semantic and diagnostic alike, minus the
-// wave accounting itself — equals the scalar loop's.  Three facts carry
-// that: mutate_into and the oracle run before buffering, in mutant order,
-// drawing the same Rng stream; a batch lane is bit-equal to a solo
-// VmMonitor (mon_bytecode_test's lockstep ≡ solo); and the logical
-// per-mutant pool draw is replicated on the shard's pooled slot, so the
-// stamp/reuse accounting never depends on the lane knob.
-void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
-                       const spec::Trace& valid, const CachedSeedTrace* ladder,
-                       std::size_t k, MutationStats& stats, support::Rng& rng,
+// The width is the lane width on the Vm backend and 1 otherwise.  With a
+// width above 1, a wave restores (or resets) one VmLaneBatch lane per
+// mutant and advances them all through the batch's block-lockstep; a
+// width-1 wave restores the pooled monitor and steps the suffix through
+// Monitor::observe_batch.  Either way every buffered mutant costs one
+// logical pool draw, and the verdicts, kill accounting and MonitorStats
+// merge through one tally in mutant order.
+//
+// Byte-for-byte contract (campaign_lane_diff_test and every differential
+// suite against the reference campaign): a restored monitor already
+// carries its prefix's stats, verdict and timing registers, so replaying
+// only [start, end) equals a full replay (campaign_incremental_diff_test);
+// a batch lane is bit-equal to a solo VmMonitor (mon_bytecode_test's
+// lockstep ≡ solo); and the logical draw lands on the shard's pooled slot
+// whichever way the mutant replays, so the stamp/reuse accounting never
+// depends on the lane width.
+void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
+                       const CampaignOptions& options, std::size_t s,
+                       std::size_t slot, SeedTraceCache& cache,
                        UnitScratch& scratch, ShardOutcome& out) {
+  LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
   const spec::Property& property = *job.property;
   const mon::CompiledProperty& compiled = job.compiled;
-  const std::size_t width = options.lane_width;
+  const CachedSeedTrace& seed =
+      obtain_seed_trace(job, ab, options, s, cache, out);
+  const spec::Trace& valid = seed.trace;
+  // Checkpoint ladder for suffix-only replay (null with a zero stride —
+  // those campaigns replay every mutant in full).
+  const CachedSeedTrace* ladder = seed.stride != 0 ? &seed : nullptr;
+  const std::size_t k = slot - 1;
+  auto& stats = out.partial.mutation[k];
+  support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
+  // Where the in-alphabet events of the seed trace sit is a per-unit fact:
+  // index it once here instead of rescanning the trace for every mutant.
+  mutation_sites_into(valid, compiled.alphabet(), scratch.sites);
+
+  // Lanes need VM frames to restore into.  Any other backend runs width-1
+  // waves — silently, because Auto may legitimately resolve elsewhere; a
+  // *forced* non-Vm backend with lane_width > 1 was already rejected by
+  // campaign setup.
+  const bool lanes =
+      options.lane_width > 1 && compiled.chosen() == mon::Backend::Vm;
+  const std::size_t width = lanes ? options.lane_width : 1;
   if (scratch.lane_mutants.size() < width) scratch.lane_mutants.resize(width);
-  if (scratch.lane_batch == nullptr ||
-      &scratch.lane_batch->program() != compiled.vm_program_shared().get() ||
-      scratch.lane_batch->lanes() != width) {
-    // Worker-pooled, beyond shard boundaries: the batch shares ownership
-    // of the program and every lane is restored/reset before running, so
-    // only a program or width change forces a rebuild.
-    scratch.lane_batch = std::make_unique<mon::VmLaneBatch>(
-        compiled.vm_program_shared(), width);
+  mon::VmLaneBatch* batch = nullptr;
+  if (lanes) {
+    if (scratch.lane_batch == nullptr ||
+        &scratch.lane_batch->program() != compiled.vm_program_shared().get() ||
+        scratch.lane_batch->lanes() != width) {
+      scratch.lane_batch = std::make_unique<mon::VmLaneBatch>(
+          compiled.vm_program_shared(), width);
+    }
+    batch = scratch.lane_batch.get();
   }
-  mon::VmLaneBatch& batch = *scratch.lane_batch;
   scratch.lane_traces.clear();
   scratch.lane_starts.clear();
   scratch.lane_rungs.clear();
@@ -368,36 +380,50 @@ void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
   const auto flush = [&] {
     const std::size_t wave = scratch.lane_traces.size();
     if (wave == 0) return;
-    ++out.partial.lane_waves;
-    out.partial.lanes_filled += wave;
-    out.partial.lane_capacity += width;
+    LOOM_DASSERT(batch != nullptr || wave == 1);
     for (std::size_t lane = 0; lane < wave; ++lane) {
-      // Replicate the scalar path's logical pool draw: the wave replays
-      // through batch lanes, but the draw accounting — and the pooled slot
-      // itself, which this shard's valid units share — must not depend on
-      // the lane knob.  The physical reset is skipped (the lane, not the
-      // slot, carries the mutant's state); the next unit to actually use
-      // the slot resets or restores it first, like every unit does.
-      draw_pooled(scratch.monitor, job, mon::Backend::Vm, out,
-                  /*skip_reset=*/true);
       const mon::Snapshot* rung = scratch.lane_rungs[lane];
+      const std::size_t start = scratch.lane_starts[lane];
+      // The logical draw.  A restore overwrites the whole state, and a
+      // batch lane (not the slot) carries the mutant's state, so both skip
+      // the physical reset; the next unit to use the slot resets or
+      // restores it first, like every unit does.
+      mon::Monitor& mmon =
+          draw_pooled(scratch.monitor, job, compiled.chosen(), out,
+                      /*skip_reset=*/batch != nullptr || rung != nullptr);
       if (rung != nullptr) {
-        batch.restore(lane, *rung);
         ++out.partial.checkpoint_hits;
-        out.partial.events_skipped += scratch.lane_starts[lane];
+        out.partial.events_skipped += start;
+      }
+      if (batch == nullptr) {
+        if (rung != nullptr) mmon.restore(*rung);
+        const spec::Trace& trace = *scratch.lane_traces[lane];
+        mmon.observe_batch(trace.data() + start, trace.data() + trace.size());
+      } else if (rung != nullptr) {
+        batch->restore(lane, *rung);
       } else {
-        batch.reset(lane);
+        batch->reset(lane);
       }
     }
-    batch.run(scratch.lane_traces, scratch.lane_starts);
+    if (batch != nullptr) {
+      ++out.partial.lane_waves;
+      out.partial.lanes_filled += wave;
+      out.partial.lane_capacity += width;
+      batch->run(scratch.lane_traces, scratch.lane_starts);
+    }
     for (std::size_t lane = 0; lane < wave; ++lane) {
-      batch.finish(lane, end_of(*scratch.lane_traces[lane]));
-      if (batch.verdict(lane) == mon::Verdict::Violated) {
-        ++stats.detected;
+      const sim::Time end = end_of(*scratch.lane_traces[lane]);
+      bool violated = false;
+      if (batch != nullptr) {
+        batch->finish(lane, end);
+        violated = batch->verdict(lane) == mon::Verdict::Violated;
+        out.partial.monitor_stats.merge(batch->stats(lane));
       } else {
-        ++stats.missed;
+        scratch.monitor->finish(end);
+        violated = scratch.monitor->verdict() == mon::Verdict::Violated;
+        out.partial.monitor_stats.merge(scratch.monitor->stats());
       }
-      out.partial.monitor_stats.merge(batch.stats(lane));
+      ++(violated ? stats.detected : stats.missed);
     }
     scratch.lane_traces.clear();
     scratch.lane_starts.clear();
@@ -405,14 +431,17 @@ void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
   };
 
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // Fill the next free lane slot; a mutant the oracle accepts (or a kind
-    // that does not apply) leaves the slot free for the next draw.
+    // Fill the next free slot; a mutant the oracle accepts (or a kind that
+    // does not apply) leaves the slot free for the next draw.
     MutationResult& mutant = scratch.lane_mutants[scratch.lane_traces.size()];
     if (!mutate_into(valid, scratch.sites, kAllKinds[k], property, rng,
                      mutant)) {
       continue;
     }
     ++stats.applied;
+    // MutationResult::position guarantees the mutant shares its first
+    // `position` events with the valid trace, so the oracle and monitor
+    // states after the floor rung are exactly what the ladder recorded.
     const FloorRung resume = floor_rung(ladder, mutant.position);
     if (!oracle_rejects(job, resume, mutant.trace, scratch.oracle)) continue;
     ++stats.invalid;
@@ -425,101 +454,14 @@ void run_mutation_wave(const PropertyPlan& job, const CampaignOptions& options,
   flush();  // the unit's final, usually partial, wave
 }
 
-void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
-                       const CampaignOptions& options, std::size_t s,
-                       std::size_t slot, SeedTraceCache& cache,
-                       UnitScratch& scratch, ShardOutcome& out) {
-  LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
-  const spec::Property& property = *job.property;
-  const CachedSeedTrace& seed =
-      obtain_seed_trace(job, ab, options, s, cache, out);
-  const spec::Trace& valid = seed.trace;
-  // Checkpoint ladder for suffix-only replay (null with a zero stride —
-  // those campaigns replay every mutant in full).
-  const CachedSeedTrace* ladder = seed.stride != 0 ? &seed : nullptr;
-  const std::size_t k = slot - 1;
-  auto& stats = out.partial.mutation[k];
-  support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
-  // Where the in-alphabet events of the seed trace sit is a per-unit fact:
-  // index it once here instead of rescanning the trace for every mutant.
-  mutation_sites_into(valid, job.compiled.alphabet(), scratch.sites);
-  // Wave execution wants lanes to fill (lane_width > 1) and VM frames to
-  // restore into (chosen backend Vm).  Any other combination runs the
-  // scalar loop below — silently, because Auto may legitimately resolve
-  // elsewhere; a *forced* non-Vm backend with lane_width > 1 was already
-  // rejected by run_campaigns.
-  if (options.lane_width > 1 &&
-      job.compiled.chosen() == mon::Backend::Vm) {
-    run_mutation_wave(job, options, valid, ladder, k, stats, rng, scratch,
-                      out);
-    return;
-  }
-  for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // The mutant lands in the worker's reusable buffer (identical bytes
-    // and Rng draws to mutate()), drawn from the unit's site index.
-    MutationResult& mutant = scratch.mutant;
-    if (!mutate_into(valid, scratch.sites, kAllKinds[k], property, rng,
-                     mutant)) {
-      continue;
-    }
-    ++stats.applied;
-    // Incremental replay: MutationResult::position guarantees the mutant
-    // shares its first `position` events with the valid trace, so the
-    // oracle and monitor states after that prefix are exactly what the
-    // ladder recorded.  Resolve the floor rung (the highest rung at or
-    // below the position) first: the oracle resumes from it, and when a
-    // restore will overwrite the whole monitor state, the draw below skips
-    // its redundant reset pass.
-    const FloorRung resume = floor_rung(ladder, mutant.position);
-    if (!oracle_rejects(job, resume, mutant.trace, scratch.oracle)) continue;
-    ++stats.invalid;
-    const mon::Snapshot* rung = resume.snapshot;
-    const std::size_t replay_begin = resume.begin;
-    mon::Monitor& mmon =
-        draw_pooled(scratch.monitor, job, job.compiled.chosen(), out,
-                    /*skip_reset=*/rung != nullptr);
-    // The restored state already carries the prefix's stats, verdict and
-    // timing registers, so replaying only [floor, end) produces bytes that
-    // match a full replay exactly (campaign_incremental_diff_test).
-    if (rung != nullptr) {
-      mmon.restore(*rung);
-      LOOM_DASSERT(replay_begin <= mutant.trace.size());
-      ++out.partial.checkpoint_hits;
-      out.partial.events_skipped += replay_begin;
-    }
-    // Hoisted replay host: one kernel + module per shard, reset between
-    // mutants, watchdogs off (the kernel is never pumped, so the armed
-    // entry could never fire — finish() still runs every deadline check,
-    // exactly as per-event stepping would).
-    if (!scratch.replay_module) {
-      scratch.replay_sched.emplace();
-      scratch.replay_module.emplace(*scratch.replay_sched, "replay", mmon,
-                                    ab);
-      scratch.replay_module->set_arm_watchdogs(false);
-    } else {
-      scratch.replay_module->reset();
-    }
-    scratch.replay_module->observe_batch(
-        mutant.trace, mon::MonitorModule::BatchPolicy::ReplayAll,
-        replay_begin);
-    mmon.finish(end_of(mutant.trace));
-    if (mmon.verdict() == mon::Verdict::Violated) {
-      ++stats.detected;
-    } else {
-      ++stats.missed;
-    }
-    out.partial.monitor_stats.merge(mmon.stats());
-  }
-}
-
 void run_shard(const std::vector<PropertyPlan>& jobs, spec::Alphabet& ab,
                const CampaignOptions& options, const Shard& shard,
                SeedTraceCache& cache, UnitScratch& scratch,
                ShardOutcome& out) {
   const PropertyPlan& job = jobs[shard.job];
-  // Fresh pool + replay host per shard (buffers keep their capacity): the
-  // instance accounting stays a pure function of the shard layout, and
-  // nothing borrowed survives in a worker's scratch past this campaign.
+  // Fresh pool per shard (buffers keep their capacity): the instance
+  // accounting stays a pure function of the shard layout, and nothing
+  // borrowed survives in a worker's scratch past this campaign.
   scratch.begin_shard();
   out.alphabet.emplace(job.property->alphabet());
   // Workers share the one alphabet without locks or copies: setup
@@ -1095,7 +1037,21 @@ std::vector<PropertyPlan> compile_property_plans(
   return plans;
 }
 
-std::vector<CampaignResult> run_campaigns(
+namespace {
+
+// What the serial setup hands the shard runner: the compiled plans and the
+// resolved worker-thread count.
+struct CampaignSetup {
+  std::vector<PropertyPlan> jobs;
+  std::size_t threads = 1;
+};
+
+// The serial setup run_campaigns and every worker process share: validate
+// the options, intern everything stimuli generation could lazily intern,
+// then translate every property exactly once — plan tables, backend
+// choice, ViaPSL clause sets — so both the alphabet and the plans are
+// strictly read-only once workers share them.
+CampaignSetup set_up_campaign(
     const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
     const CampaignOptions& options) {
   if (options.lane_width == 0) {
@@ -1107,7 +1063,7 @@ std::vector<CampaignResult> run_campaigns(
   // backend without VM frames while asking for lanes is contradictory —
   // refuse it rather than silently ignore one of the two requests.  Auto
   // stays fine at any width: when it resolves away from Vm (a ViaPSL cost
-  // win) the engine just runs the scalar loop.
+  // win) the engine just runs width-1 waves.
   if (options.lane_width > 1 && (options.backend == mon::Backend::Drct ||
                                  options.backend == mon::Backend::ViaPSL)) {
     throw std::invalid_argument(
@@ -1118,19 +1074,27 @@ std::vector<CampaignResult> run_campaigns(
         " was forced; use backend=vm or auto, or lane_width=1 for the "
         "scalar path");
   }
-  // Setup runs serially on the caller: intern everything stimuli
-  // generation could lazily intern, then translate every property exactly
-  // once — plan tables, backend choice, ViaPSL clause sets — so both the
-  // alphabet and the plans are strictly read-only once workers share them.
   pre_intern_stimuli_names(ab, options.stimuli);
-  const std::vector<PropertyPlan> jobs =
-      compile_property_plans(properties, ab, options);
+  CampaignSetup setup;
+  setup.jobs = compile_property_plans(properties, ab, options);
+  setup.threads =
+      options.threads != 0
+          ? options.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return setup;
+}
+
+}  // namespace
+
+std::vector<CampaignResult> run_campaigns(
+    const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
+    const CampaignOptions& options) {
+  const CampaignSetup setup = set_up_campaign(properties, ab, options);
+  const std::vector<PropertyPlan>& jobs = setup.jobs;
+  const std::size_t threads = setup.threads;
 
   // Shard the flattened (property × seed × slot) space.  Shards never span
   // properties so each merges into exactly one result.
-  std::size_t threads = options.threads != 0
-                            ? options.threads
-                            : std::max(1u, std::thread::hardware_concurrency());
   const std::size_t units_per_job = options.seeds * kSlotsPerSeed;
   std::size_t shard_size = options.shard_size;
   if (shard_size == 0) {
@@ -1177,25 +1141,8 @@ std::vector<CampaignResult> run_campaigns(
   std::vector<std::optional<RecognizerCoverage>> rec_covs(jobs.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::size_t p = shards[i].job;
-    CampaignResult& result = results[p];
     ShardOutcome& out = outcomes[i];
-    result.traces += out.partial.traces;
-    result.events += out.partial.events;
-    result.valid_accepted += out.partial.valid_accepted;
-    result.oracle_disagreements += out.partial.oracle_disagreements;
-    result.viapsl_false_alarms += out.partial.viapsl_false_alarms;
-    for (std::size_t k = 0; k < 5; ++k) {
-      result.mutation[k].merge(out.partial.mutation[k]);
-    }
-    result.monitor_stats.merge(out.partial.monitor_stats);
-    result.compile_stats.merge(out.partial.compile_stats);
-    result.trace_cache_hits += out.partial.trace_cache_hits;
-    result.trace_cache_misses += out.partial.trace_cache_misses;
-    result.checkpoint_hits += out.partial.checkpoint_hits;
-    result.events_skipped += out.partial.events_skipped;
-    result.lane_waves += out.partial.lane_waves;
-    result.lanes_filled += out.partial.lanes_filled;
-    result.lane_capacity += out.partial.lane_capacity;
+    results[p].merge(out.partial);
     if (out.alphabet) alphabet_covs[p].merge(*out.alphabet);
     if (out.recognizer) {
       if (rec_covs[p]) {
@@ -1346,20 +1293,16 @@ int run_campaign_worker(int in_fd, int out_fd,
                         static_cast<std::size_t>(s.unit_end)});
     }
 
-    // The same serial setup run_campaigns does, then the assigned shards
-    // on the in-process engine (this worker's own threads / trace cache).
-    pre_intern_stimuli_names(ab, options.stimuli);
+    // The same serial setup run_campaigns does (a hand-built request is
+    // validated like any caller's options), then the assigned shards on
+    // the in-process engine (this worker's own threads / trace cache).
     std::vector<const spec::Property*> prop_ptrs;
     prop_ptrs.reserve(props.size());
     for (const auto& p : props) prop_ptrs.push_back(&p);
-    const std::vector<PropertyPlan> jobs =
-        compile_property_plans(prop_ptrs, ab, options);
-    const std::size_t threads =
-        options.threads != 0
-            ? options.threads
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const CampaignSetup setup = set_up_campaign(prop_ptrs, ab, options);
     std::vector<ShardOutcome> outcomes(shards.size());
-    run_shards_in_process(jobs, ab, options, shards, threads, outcomes);
+    run_shards_in_process(setup.jobs, ab, options, shards, setup.threads,
+                          outcomes);
 
     // One partial frame per shard, in assignment order, then Done.
     for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -1433,6 +1376,25 @@ int run_campaign_worker(int in_fd, int out_fd,
     return kWorkerExitBadRequest;
   }
 #endif  // LOOM_WIRE_HAS_PROCESS
+}
+
+void CampaignResult::merge(const CampaignResult& other) {
+  traces += other.traces;
+  events += other.events;
+  valid_accepted += other.valid_accepted;
+  oracle_disagreements += other.oracle_disagreements;
+  viapsl_false_alarms += other.viapsl_false_alarms;
+  for (std::size_t k = 0; k < 5; ++k) mutation[k].merge(other.mutation[k]);
+  monitor_stats.merge(other.monitor_stats);
+  compile_stats.merge(other.compile_stats);
+  trace_cache_hits += other.trace_cache_hits;
+  trace_cache_misses += other.trace_cache_misses;
+  checkpoint_hits += other.checkpoint_hits;
+  events_skipped += other.events_skipped;
+  worker_retries += other.worker_retries;
+  lane_waves += other.lane_waves;
+  lanes_filled += other.lanes_filled;
+  lane_capacity += other.lane_capacity;
 }
 
 std::vector<CampaignResult::DiagnosticCounter>

@@ -14,9 +14,10 @@
 //! reduction.  Every unit takes one path: its seed's valid trace (and the
 //! checkpoint ladder) comes from a per-seed cache built by the first unit
 //! that asks, monitors are stamped from the compiled plan and pooled per
-//! shard, mutants are rewritten into reusable scratch (mutate_into) and
-//! replayed through a hoisted batched MonitorModule host — or, on the Vm
-//! backend, in lane-batched waves.
+//! shard, and mutants are rewritten into reusable wave slots (mutate_into)
+//! and replayed in waves: lane_width mutants at a time through a
+//! mon::VmLaneBatch on the Vm backend, one at a time through the pooled
+//! monitor's Monitor::observe_batch otherwise.
 //!
 //! Ownership: run_campaigns() owns every artifact it creates (compiled
 //! plans, trace cache, pool); callers keep ownership of the properties and
@@ -161,13 +162,14 @@ struct CampaignOptions {
   /// Wave width for lane-batched mutant replay: up to this many mutants of
   /// one (seed × property × kind) unit are mutated into per-lane slots,
   /// each lane restored from its own checkpoint-ladder floor rung, and the
-  /// whole wave advanced through mon::VmLaneBatch's block-lockstep
-  /// lockstep — the program's route tables stay hot while lane state
-  /// streams.  1 is the scalar path (one mutant at a time), which Drct
-  /// and ViaPSL campaigns always take.  Waves need the Vm backend; when
-  /// Auto resolves to another backend the engine silently runs scalar —
-  /// but *forcing* a non-Vm backend with lane_width > 1
-  /// throws std::invalid_argument, since that request is contradictory.
+  /// whole wave advanced through mon::VmLaneBatch's block-lockstep — the
+  /// program's route tables stay hot while lane state streams.  1 means
+  /// one-mutant waves replayed on the pooled monitor, which is what Drct
+  /// and ViaPSL campaigns always run.  Lanes need the Vm backend; when
+  /// Auto resolves to another backend the engine silently runs width-1
+  /// waves — but *forcing* a non-Vm backend with lane_width > 1 throws
+  /// std::invalid_argument, since that request is contradictory; 0 throws
+  /// too.  A worker handed either in its request refuses it by name.
   /// Result-neutral at every width: the eighth differential invariant
   /// (campaign_lane_diff_test) holds lane-batched byte-for-byte equal to
   /// scalar at any width, thread count, worker count and stride.
@@ -323,6 +325,12 @@ struct CampaignResult {
   /// True when allow_partial absorbed at least one exhausted worker slot:
   /// the aggregates cover only the surviving shards.
   bool degraded() const { return !shard_failures.empty(); }
+
+  /// Order-independent reduction of every summable counter: the shard
+  /// partials into a property's result, or several results into a total.
+  /// The coverage ratios, the backend fields and shard_failures do not
+  /// add and are left untouched.
+  void merge(const CampaignResult& other);
 
   /// One engine diagnostic as a named counter for benchmark export.  The
   /// names are the schema of the tracked BENCH_*.json baselines that

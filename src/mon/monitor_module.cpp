@@ -19,14 +19,12 @@ void MonitorModule::observe(spec::Name name, sim::Time time) {
 }
 
 void MonitorModule::observe_batch(const spec::Trace& slice,
-                                  BatchPolicy policy, std::size_t begin) {
-  if (begin > slice.size()) begin = slice.size();
+                                  BatchPolicy policy) {
   if (policy == BatchPolicy::ReplayAll) {
-    monitor_.observe_batch(slice.data() + begin,
-                           slice.data() + slice.size());
+    monitor_.observe_batch(slice);
   } else {
-    for (std::size_t i = begin; i < slice.size(); ++i) {
-      monitor_.observe(slice[i].name, slice[i].time);
+    for (const auto& ev : slice) {
+      monitor_.observe(ev.name, ev.time);
       // Stop stepping once violated: the remaining slice cannot un-violate
       // the monitor and the violation report should point at its cause.
       if (monitor_.verdict() == Verdict::Violated) break;
@@ -38,11 +36,6 @@ void MonitorModule::observe_batch(const spec::Trace& slice,
 void MonitorModule::finish() {
   monitor_.finish(scheduler().now());
   after_step();
-}
-
-void MonitorModule::reset() {
-  disarm_watchdog();
-  violation_reported_ = false;
 }
 
 void MonitorModule::after_step() {

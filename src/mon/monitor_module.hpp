@@ -11,13 +11,12 @@
 //! must outlive it; its destructor disarms any still-queued watchdog so a
 //! dead module is never called back.
 //! Thread-safety: none — modules live on the (single-threaded) simulation
-//! kernel; the campaign engine scopes one kernel + module per worker shard
-//! (reset() between mutants, watchdog arming off) on its scratch path, and
-//! one throwaway pair per replayed mutant on the fresh baseline path.
+//! kernel.  The campaign engine does not use a module: it replays mutants
+//! straight through Monitor::observe_batch, which has no callbacks or
+//! watchdogs to run.
 //! Determinism: observe_batch(ReplayAll) is bit-identical to a per-event
-//! observe() loop — verdict, stats and violation alike (mon_batch_test,
-//! campaign_replay_diff_test); StopAtViolation intentionally stops early
-//! and reports at the cause.
+//! observe() loop — verdict, stats and violation alike (mon_batch_test);
+//! StopAtViolation intentionally stops early and reports at the cause.
 #pragma once
 
 #include <functional>
@@ -35,8 +34,8 @@ class MonitorModule final : public sim::Module {
                 const spec::Alphabet& alphabet, sim::Module* parent = nullptr);
 
   /// Disarms a still-pending watchdog: a queued entry must never outlive
-  /// the module it captures (the campaign's replay modules die long before
-  /// their scheduler would drain).
+  /// the module it captures (a replay module may die long before its
+  /// scheduler would drain).
   ~MonitorModule() override {
     if (watchdog_token_ != nullptr) *watchdog_token_ = true;
   }
@@ -53,9 +52,8 @@ class MonitorModule final : public sim::Module {
     StopAtViolation,
     /// Step every event, violated or not, through the monitor's own
     /// devirtualized Monitor::observe_batch — verdict and stats land
-    /// bit-identical to a per-event observe() loop.  The campaign engine
-    /// replays cached mutant traces this way and stays indistinguishable
-    /// from the per-event reference campaign.
+    /// bit-identical to a per-event observe() loop, which is what a
+    /// recorded-trace check wants.
     ReplayAll,
   };
 
@@ -65,32 +63,19 @@ class MonitorModule final : public sim::Module {
   /// bookkeeping once at the end of the slice instead of per event.
   /// Events carry their own timestamps, so deadline overruns are still
   /// detected mid-slice; the callback firing coalesces to the end of the
-  /// batch.  `begin` skips the slice's first events — the checkpointed
-  /// campaign engine restores the monitor to the state after
-  /// trace[0, begin) and replays only the suffix (same bytes out as a full
-  /// replay, by the Monitor::snapshot contract).
+  /// batch.
   void observe_batch(const spec::Trace& slice,
-                     BatchPolicy policy = BatchPolicy::StopAtViolation,
-                     std::size_t begin = 0);
+                     BatchPolicy policy = BatchPolicy::StopAtViolation);
 
   /// Ends observation (typically at the end of simulation).
   void finish();
 
-  /// Re-arms the module for a fresh observation run over the same monitor:
-  /// disarms any queued watchdog and forgets the reported violation, so the
-  /// callbacks fire again on the next one.  The borrowed monitor is reset
-  /// separately (Monitor::reset()); together the pair is bit-identical to
-  /// constructing a fresh module + fresh monitor — the campaign engine's
-  /// hoisted replay host resets one host per mutant instead of building
-  /// one (campaign_scratch_diff_test locks the equivalence).
-  void reset();
-
   /// Toggles watchdog arming (default on).  A pure replay host whose
   /// scheduler is never pumped gains nothing from the queued entry — it
-  /// can never fire — so the campaign's scratch path turns arming off to
-  /// keep the kernel's timed queue empty across thousands of mutants.
-  /// Observable behavior is unchanged wherever the scheduler never runs;
-  /// in-simulation users must leave it on.
+  /// can never fire — so a recorded-trace check may turn arming off to
+  /// keep the kernel's timed queue empty.  Observable behavior is
+  /// unchanged wherever the scheduler never runs; in-simulation users must
+  /// leave it on.
   void set_arm_watchdogs(bool arm) {
     arm_watchdogs_ = arm;
     if (!arm) disarm_watchdog();

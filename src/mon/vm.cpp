@@ -728,23 +728,6 @@ constexpr std::size_t kLockstepBlock = 64;
 
 }  // namespace
 
-void VmLaneBatch::run(const std::vector<const spec::Trace*>& traces) {
-  LOOM_DASSERT(traces.size() == lanes_);
-  std::size_t longest = 0;
-  for (const auto* t : traces) {
-    if (t->size() > longest) longest = t->size();
-  }
-  const VmFrameRef* const frames = frames_.data();
-  for (std::size_t b = 0; b < longest; b += kLockstepBlock) {
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      const spec::Trace& t = *traces[lane];
-      if (b >= t.size()) continue;
-      const std::size_t end = std::min(t.size(), b + kLockstepBlock);
-      vm_run_batch(*program_, frames[lane], t.data() + b, t.data() + end);
-    }
-  }
-}
-
 void VmLaneBatch::run(const std::vector<const spec::Trace*>& traces,
                       const std::vector<std::size_t>& starts) {
   // A partial wave steps only the first traces.size() lanes; the rest are

@@ -171,22 +171,17 @@ class VmLaneBatch {
                      const spec::TimedEvent* end) {
     vm_run_batch(*program_, frames_[lane], begin, end);
   }
-  /// Block-lockstep over per-lane traces (the mutant-replay shape): lanes
-  /// advance together in fixed event-index windows, each lane's sub-slice
-  /// running through vm_run_batch's hoisted inner loop — lanes whose trace
-  /// is exhausted simply sit out the tail, and a lane whose verdict is
-  /// final fast-forwards each of its later blocks in O(1) (ordinal and
-  /// event count only).  Equivalent, bit for bit, to running each lane's
-  /// trace through its own monitor.
-  void run(const std::vector<const spec::Trace*>& traces);
-  /// Suffix-replay lockstep: lane l steps only events
-  /// [starts[l], traces[l]->size()) of its trace — the checkpointed-mutant
-  /// shape, where each lane was restored from its floor rung and owes only
-  /// its own suffix.  Lockstep is by suffix position (relative index), so
-  /// uneven starts and uneven lengths both just sit out the tail; with all
-  /// starts zero and every lane used this is exactly run(traces).  A
-  /// partial wave (traces.size() < lanes()) steps only the listed lanes
-  /// and leaves the rest untouched.
+  /// Block-lockstep suffix replay over per-lane traces (the mutant-replay
+  /// shape): lane l steps only events [starts[l], traces[l]->size()) of
+  /// its trace — each lane was restored from its floor rung (or reset, with
+  /// a zero start) and owes only its own suffix.  Lanes advance together
+  /// in fixed windows of suffix position, each lane's sub-slice running
+  /// through vm_run_batch's hoisted inner loop; uneven starts and uneven
+  /// lengths both just sit out the tail, and a lane whose verdict is final
+  /// fast-forwards each of its later blocks in O(1) (ordinal and event
+  /// count only).  Equivalent, bit for bit, to running each lane's suffix
+  /// through its own monitor.  A partial wave (traces.size() < lanes())
+  /// steps only the listed lanes and leaves the rest untouched.
   void run(const std::vector<const spec::Trace*>& traces,
            const std::vector<std::size_t>& starts);
   void finish(std::size_t lane, sim::Time end_time) {

@@ -1,12 +1,11 @@
 // Differential lockdown of the zero-allocation steady state: a campaign
 // run out of per-worker scratch arenas (reusable mutant buffers via
 // mutate_into, per-shard monitor pools for valid and mutation units, the
-// hoisted batched-replay host, the plan-reusing reference oracle) must be
-// byte-for-byte identical to the reference campaign, which allocates a
-// fresh mutant, monitor and oracle plan for every check — for every
-// backend, at every thread count and shard size.  Plus unit lockdowns of
-// the pieces: mutate_into ≡ mutate under a dirty reused scratch,
-// MonitorModule::reset ≡ fresh module, and the cross-campaign
+// resumable reference oracle) must be byte-for-byte identical to the
+// reference campaign, which allocates a fresh mutant, monitor and oracle
+// plan for every check — for every backend, at every thread count and
+// shard size.  Plus unit lockdowns of the pieces: mutate_into ≡ mutate
+// under a dirty reused scratch, and the cross-campaign
 // mon::CompiledPropertyCache (hit/miss accounting, stable references,
 // alias rules of the normalized key).
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "abv/mutate.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitors.hpp"
-#include "sim/scheduler.hpp"
 #include "spec/reference.hpp"
 #include "testing.hpp"
 
@@ -249,48 +247,6 @@ TEST(ReferencePlanReuse, PlanOverloadMatchesThePlanningOverload) {
       EXPECT_EQ(planned.reason, reused.reason) << source;
     }
   }
-}
-
-// --- MonitorModule reset ≡ fresh module -----------------------------------
-
-TEST(MonitorModuleReset, ResetHostReplaysLikeAFreshOne) {
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
-  // The canonical violation: the trigger before any pattern round.
-  const spec::Trace bad = loom::testing::trace_of("i n", ab);
-  const auto compiled = mon::CompiledProperty::compile(p, ab);
-
-  // Fresh host per replay.
-  auto reference = compiled.instantiate();
-  std::size_t fresh_callbacks = 0;
-  for (int i = 0; i < 3; ++i) {
-    sim::Scheduler sched;
-    mon::MonitorModule module(sched, "replay", *reference, ab);
-    module.on_violation([&](const mon::Violation&) { ++fresh_callbacks; });
-    reference->reset();
-    module.observe_batch(bad, mon::MonitorModule::BatchPolicy::ReplayAll);
-    reference->finish(bad.back().time);
-  }
-  const auto fresh_verdict = reference->verdict();
-
-  // One host, reset between replays, watchdogs off (never pumped anyway).
-  auto pooled = compiled.instantiate();
-  sim::Scheduler sched;
-  mon::MonitorModule module(sched, "replay", *pooled, ab);
-  module.set_arm_watchdogs(false);
-  std::size_t pooled_callbacks = 0;
-  module.on_violation([&](const mon::Violation&) { ++pooled_callbacks; });
-  for (int i = 0; i < 3; ++i) {
-    module.reset();
-    pooled->reset();
-    module.observe_batch(bad, mon::MonitorModule::BatchPolicy::ReplayAll);
-    pooled->finish(bad.back().time);
-  }
-
-  EXPECT_EQ(fresh_callbacks, 3u);
-  EXPECT_EQ(pooled_callbacks, 3u);  // reset() re-arms the callback latch
-  EXPECT_EQ(pooled->verdict(), fresh_verdict);
-  EXPECT_EQ(pooled->stats().ops, reference->stats().ops);
 }
 
 // --- mon::CompiledPropertyCache -------------------------------------------

@@ -322,6 +322,26 @@ TEST(CampaignWorkerDirect, ValidRequestStreamsPartialsThenDone) {
   EXPECT_EQ(count, req.shards.size());
 }
 
+TEST(CampaignWorkerDirect, InvalidLaneWidthRequestIsRefusedByName) {
+  // A worker validates its request's options exactly like run_campaigns:
+  // a hand-built request the parent would have refused must not run.
+  wire::WorkerRequestData zero = valid_request();
+  zero.options.lane_width = 0;
+  wire::WorkerRequestData forced = valid_request();
+  forced.options.lane_width = 4;
+  forced.options.backend = mon::Backend::Drct;
+  for (const auto* req : {&zero, &forced}) {
+    Pipes pipes;
+    pipes.send_request(framed_request(*req));
+    EXPECT_EQ(pipes.run_worker(), kWorkerExitBadRequest);
+    const auto frames = drain(pipes.reply_read);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].first, wire::Payload::WorkerError);
+    const std::string text = error_text(frames[0].second);
+    EXPECT_NE(text.find("lane_width"), std::string::npos) << text;
+  }
+}
+
 TEST(CampaignWorkerDirect, TrailingBytesAfterTheRequestAreRejected) {
   wire::Encoder enc;
   wire::encode_worker_request(enc, valid_request());

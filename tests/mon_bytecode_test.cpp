@@ -409,7 +409,7 @@ TEST(MonBytecodeLanes, LockstepLanesEqualIndependentMonitors) {
       for (const auto& t : traces) ptrs.push_back(&t);
 
       for (std::size_t l = 0; l < kLanes; ++l) lanes.reset(l);
-      lanes.run(ptrs);
+      lanes.run(ptrs, std::vector<std::size_t>(kLanes, 0));
 
       for (std::size_t l = 0; l < kLanes; ++l) {
         const sim::Time end =
@@ -465,7 +465,7 @@ TEST(MonBytecodeLanes, PerLaneBatchSlicesMatchTheLockstepRun) {
   for (const auto& t : traces) ptrs.push_back(&t);
 
   VmLaneBatch lockstep(program, kLanes);
-  lockstep.run(ptrs);
+  lockstep.run(ptrs, std::vector<std::size_t>(kLanes, 0));
 
   VmLaneBatch sliced(program, kLanes);
   support::Rng rng = support::Rng::stream(0xC4A0, 19);
@@ -756,15 +756,12 @@ TEST(MonBytecodeRetire, BatchAndLockstepFastForwardEqualPerEventObserve) {
     std::vector<const spec::Trace*> ptrs;
     for (const auto& t : traces) ptrs.push_back(&t);
     VmLaneBatch lanes(program, traces.size());
-    lanes.run(ptrs);
-    VmLaneBatch suffix_lanes(program, traces.size());
-    suffix_lanes.run(ptrs, std::vector<std::size_t>(traces.size(), 0));
+    lanes.run(ptrs, std::vector<std::size_t>(traces.size(), 0));
     for (std::size_t l = 0; l < traces.size(); ++l) {
       const std::string what = std::string(c.label) + " retire-at " +
                                std::to_string(ats[l]) + " lane " +
                                std::to_string(l);
       expect_same_frame(lanes, l, *solos[l], what + " [lockstep]");
-      expect_same_frame(suffix_lanes, l, *solos[l], what + " [suffix]");
       const sim::Time end = traces[l].back().time;
       lanes.finish(l, end);
       solos[l]->finish(end);
