@@ -492,16 +492,18 @@ BENCHMARK(BM_WorkerSupervision)->UseRealTime();
 #endif  // LOOM_WIRE_HAS_PROCESS
 
 void BM_WireRoundTrip(benchmark::State& state) {
-  // The versioned wire codec under cross-process load: Arg 0 frames and
-  // re-decodes a realistic CampaignResult (what every worker partial
-  // carries), Arg 1 a long generated trace (the biggest payload the format
-  // defines).  One Encoder and capacity-reusing decode targets, the
-  // steady-state shape of a parent draining worker pipes — so allocs/frame
-  // measures the reuse discipline, not first-touch growth.
-  const bool long_trace = state.range(0) != 0;
+  // The worker protocol's two sizeable frames: Arg 0 frames and re-decodes
+  // a shard partial (what a worker sends per shard), Arg 1 a request (what
+  // the parent sends per worker dispatch: alphabet, property text, options
+  // and a 24-shard slice).  One Encoder and capacity-reusing decode
+  // targets, the steady-state shape of a parent draining worker pipes — so
+  // allocs/frame measures the reuse discipline, not first-touch growth.
+  const bool request = state.range(0) != 0;
   Fixture fx(kConfig[2], 64);
 
-  abv::CampaignResult result;
+  wire::WorkerPartialData partial;
+  partial.shard = 17;
+  abv::CampaignResult& result = partial.partial;
   result.traces = 24;
   result.events = 120000;
   result.valid_accepted = 24;
@@ -510,23 +512,36 @@ void BM_WireRoundTrip(benchmark::State& state) {
     m.invalid = 150;
     m.detected = 150;
   }
-  result.alphabet_coverage = 0.875;
-  result.recognizer_state_coverage = 0.9375;
   result.monitor_stats.ops = 2400000;
   result.monitor_stats.events = 120000;
   result.monitor_stats.max_ops_per_event = 24;
-  result.compile_stats.plans_built = 1;
   result.compile_stats.instances_stamped = 12;
   result.compile_stats.instance_reuses = 930;
   result.trace_cache_hits = 120;
   result.trace_cache_misses = 24;
   result.checkpoint_hits = 700;
   result.events_skipped = 90000;
+  result.lane_waves = 100;
+  result.lanes_filled = 600;
+  result.lane_capacity = 800;
+  partial.alphabet_seen.assign(fx.ab.size(), true);
+
+  wire::WorkerRequestData req;
+  for (std::size_t i = 0; i < fx.ab.size(); ++i) {
+    const auto n = static_cast<spec::Name>(i);
+    req.names.push_back(fx.ab.text(n));
+    req.directions.push_back(static_cast<std::uint8_t>(fx.ab.direction(n)));
+  }
+  req.properties.push_back(spec::to_string(fx.property, fx.ab));
+  req.options.seeds = 8;
+  req.options.stimuli.rounds = 4;
+  req.options.mutants_per_kind = 8;
+  for (std::uint64_t i = 0; i < 48; i += 2) req.shards.push_back({i, 0, i, i + 1});
 
   wire::Encoder enc;
   std::vector<std::uint8_t> framed;
-  abv::CampaignResult result_out;
-  spec::Trace trace_out;
+  wire::WorkerPartialData partial_out;
+  wire::WorkerRequestData request_out;
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t allocs = 0;
@@ -534,12 +549,12 @@ void BM_WireRoundTrip(benchmark::State& state) {
     support::AllocCounter::Scope scope;
     enc.clear();
     framed.clear();
-    if (long_trace) {
-      wire::encode_trace(enc, fx.trace, fx.ab);
-      wire::write_frame(framed, wire::Payload::Trace, enc);
+    if (request) {
+      wire::encode_worker_request(enc, req);
+      wire::write_frame(framed, wire::Payload::WorkerRequest, enc);
     } else {
-      wire::encode_result(enc, result);
-      wire::write_frame(framed, wire::Payload::Result, enc);
+      wire::encode_worker_partial(enc, partial);
+      wire::write_frame(framed, wire::Payload::WorkerPartial, enc);
     }
     wire::Frame frame;
     std::size_t consumed = 0;
@@ -551,13 +566,12 @@ void BM_WireRoundTrip(benchmark::State& state) {
     }
     wire::Decoder d(frame.data, frame.size);
     bool ok;
-    if (long_trace) {
-      spec::Alphabet ab;
-      ok = wire::decode_trace(d, trace_out, ab);
-      benchmark::DoNotOptimize(trace_out);
+    if (request) {
+      ok = wire::decode_worker_request(d, request_out);
+      benchmark::DoNotOptimize(request_out);
     } else {
-      ok = wire::decode_result(d, result_out);
-      benchmark::DoNotOptimize(result_out);
+      ok = wire::decode_worker_partial(d, partial_out);
+      benchmark::DoNotOptimize(partial_out);
     }
     if (!ok || !d.exhausted()) {
       state.SkipWithError("decode failed");
@@ -573,7 +587,7 @@ void BM_WireRoundTrip(benchmark::State& state) {
     state.counters["allocs/frame"] = benchmark::Counter(bench::safe_ratio(
         static_cast<double>(allocs), static_cast<double>(frames)));
   }
-  state.SetLabel(long_trace ? "payload=trace" : "payload=result");
+  state.SetLabel(request ? "payload=request" : "payload=partial");
 }
 BENCHMARK(BM_WireRoundTrip)->Arg(0)->Arg(1);
 

@@ -561,10 +561,58 @@ void install_partial(const std::vector<PropertyPlan>& jobs,
   }
 }
 
+// What is wrong with a partial's recognizer rows for `job`, or "" when
+// nothing is.  Only a Drct-backed antecedent has recognizers to sample
+// (run_valid_unit), and its rows must have exactly the job's plan shape:
+// one row list per fragment, one row per range, each row naming its
+// range's name and bounds, with state bits only for the six recognizer
+// states.  RecognizerCoverage::merge trusts that shape, so the supervisor
+// checks it before a worker's rows reach the merge.
+std::string misshapen_recognizer_rows(const PropertyPlan& job,
+                                      const wire::WorkerPartialData& part) {
+  if (!part.has_recognizer) return {};
+  if (!job.property->is_antecedent() ||
+      job.compiled.chosen() != mon::Backend::Drct) {
+    return std::string("recognizer rows for a property without Drct "
+                       "antecedent recognizers (backend ") +
+           mon::to_string(job.compiled.chosen()) + ")";
+  }
+  const std::vector<spec::FragmentPlan>& frags = job.compiled.plan().fragments;
+  const auto& rows = part.recognizer_rows;
+  if (rows.size() != frags.size()) {
+    return "recognizer rows for " + std::to_string(rows.size()) +
+           " fragments, the property has " + std::to_string(frags.size());
+  }
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    const auto where = [f] {
+      return "recognizer fragment F" + std::to_string(f + 1);
+    };
+    const std::vector<spec::RangePlan>& ranges = frags[f].ranges;
+    if (rows[f].size() != ranges.size()) {
+      return where() + ": " + std::to_string(rows[f].size()) + " rows for " +
+             std::to_string(ranges.size()) + " ranges";
+    }
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      const RecognizerCoverage::RangeCov& row = rows[f][r];
+      if (row.name != ranges[r].name || row.lo != ranges[r].lo ||
+          row.hi != ranges[r].hi) {
+        return where() + " row " + std::to_string(r) +
+               ": name/bounds do not match the property's range";
+      }
+      if ((row.state_mask >> 6) != 0) {
+        return where() + " row " + std::to_string(r) +
+               ": state bits outside the six recognizer states";
+      }
+    }
+  }
+  return {};
+}
+
 // The request parts every worker shares: the alphabet's names in id order
 // (re-interning them in that order reproduces the parent's dense ids
-// exactly), each property's normalized text, and the options with workers
-// zeroed — a worker never recursively forks its own fleet.
+// exactly), each property's normalized text, and the options.  The request
+// codec carries only the options the worker's engine reads, so neither
+// `workers` nor `plan_cache` reaches a worker.
 wire::WorkerRequestData make_base_request(const std::vector<PropertyPlan>& jobs,
                                           const spec::Alphabet& ab,
                                           const CampaignOptions& options) {
@@ -579,15 +627,13 @@ wire::WorkerRequestData make_base_request(const std::vector<PropertyPlan>& jobs,
     base.properties.push_back(spec::to_string(*job.property, ab));
   }
   base.options = options;
-  base.options.workers = 0;
-  base.options.plan_cache = nullptr;
   return base;
 }
 
 // Frames one worker's request: the shared base plus its round-robin shard
-// slice.  `clear_fault` builds the retry variant — the supervisor
-// re-dispatches with the fault disarmed, so a retried attempt runs clean
-// (that is what makes faulted-then-retried ≡ clean hold byte for byte).
+// slice.  `clear_fault` disarms the injected fault — the supervisor
+// re-dispatches that way, so a retried attempt runs clean (that is what
+// makes faulted-then-retried ≡ clean hold byte for byte).
 std::vector<std::uint8_t> frame_request(
     const wire::WorkerRequestData& base, const std::vector<std::size_t>& mine,
     const std::vector<Shard>& shards, bool clear_fault) {
@@ -645,8 +691,6 @@ void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
   struct Slot {
     wire::WorkerProcess proc;
     std::optional<wire::FdFrameReader> reader;
-    std::vector<std::uint8_t> first_request;  // fault armed (if any)
-    std::vector<std::uint8_t> retry_request;  // fault disarmed
     std::vector<wire::WorkerPartialData> partials;
     std::vector<bool> got;  // per assigned shard: partial received
     std::size_t attempts = 0;
@@ -670,12 +714,6 @@ void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
         js.push_back(shards[i].job);
       }
     }
-    slots[w].first_request =
-        frame_request(base, assigned[w], shards, /*clear_fault=*/false);
-    slots[w].retry_request =
-        base.options.worker_fault == WorkerFault::None
-            ? slots[w].first_request
-            : frame_request(base, assigned[w], shards, /*clear_fault=*/true);
   }
 
   const auto who_of = [](std::size_t w) {
@@ -708,6 +746,8 @@ void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
   const auto dispatch = [&](std::size_t w) -> bool {
     Slot& slot = slots[w];
     ++slot.attempts;
+    const std::vector<std::uint8_t> framed = frame_request(
+        base, assigned[w], shards, /*clear_fault=*/slot.attempts > 1);
     try {
       slot.proc = wire::spawn_worker(
           options.worker_command,
@@ -719,8 +759,6 @@ void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
     if (!wire::set_nonblocking(slot.proc.from_child)) {
       fail_all(who_of(w) + ": could not set O_NONBLOCK on the response pipe");
     }
-    const auto& framed =
-        slot.attempts == 1 ? slot.first_request : slot.retry_request;
     if (!wire::write_all(slot.proc.to_child, framed.data(), framed.size())) {
       slot.diagnostic = "request write failed (worker gone?)";
       return false;
@@ -861,6 +899,13 @@ void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
           if (!ours) {
             retire_with(w, who + ": partial for foreign shard " +
                                std::to_string(part.shard));
+            return;
+          }
+          const std::string bad_rows =
+              misshapen_recognizer_rows(jobs[part.job], part);
+          if (!bad_rows.empty()) {
+            retire_with(w, who + ": shard " + std::to_string(part.shard) +
+                               ": " + bad_rows);
             return;
           }
           slot.partials.push_back(std::move(part));
@@ -1278,7 +1323,7 @@ int run_campaign_worker(int in_fd, int out_fd,
       props.push_back(std::move(*p));
     }
 
-    const CampaignOptions& options = req.options;  // workers already zeroed
+    const CampaignOptions& options = req.options;  // workers never crosses: 0
     const std::size_t units_per_job = options.seeds * kSlotsPerSeed;
     std::vector<Shard> shards;
     shards.reserve(req.shards.size());

@@ -67,8 +67,10 @@ void Checker::absorb(Checker&& shard) {
 std::string Checker::summary(const spec::Alphabet& ab) const {
   std::string out;
   for (const auto& e : entries_) {
-    out += "[" + std::string(mon::to_string(e.monitor->verdict())) + "] " +
-           e.name;
+    out += '[';
+    out += mon::to_string(e.monitor->verdict());
+    out += "] ";
+    out += e.name;
     if (e.monitor->violation().has_value()) {
       out += "\n    " + e.monitor->violation()->to_string(ab);
     }

@@ -76,29 +76,35 @@ std::size_t temporal_size(const FormulaPtr& f) {
 std::string to_string(const FormulaPtr& f,
                       const std::vector<std::string>& token_texts) {
   if (!f) return "?";
+  // Built by appending: GCC 12 at -O3 reports a spurious -Wrestrict for
+  // `"(" + std::string&&` chains (the rvalue overload inserts at the front).
+  std::string out;
+  const auto wrap = [&](const char* open, const char* op, const char* close) {
+    out = open;
+    out += to_string(f->lhs, token_texts);
+    if (op != nullptr) {
+      out += op;
+      out += to_string(f->rhs, token_texts);
+    }
+    out += close;
+    return out;
+  };
   switch (f->op) {
     case Op::True: return "true";
     case Op::False: return "false";
     case Op::Atom:
-      return f->atom < token_texts.size() ? token_texts[f->atom]
-                                          : "tok" + std::to_string(f->atom);
-    case Op::Not: return "!" + to_string(f->lhs, token_texts);
-    case Op::And:
-      return "(" + to_string(f->lhs, token_texts) + " && " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Or:
-      return "(" + to_string(f->lhs, token_texts) + " || " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Implies:
-      return "(" + to_string(f->lhs, token_texts) + " -> " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Next: return "next(" + to_string(f->lhs, token_texts) + ")";
-    case Op::Until:
-      return "(" + to_string(f->lhs, token_texts) + " until! " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Always: return "always(" + to_string(f->lhs, token_texts) + ")";
-    case Op::Eventually:
-      return "eventually(" + to_string(f->lhs, token_texts) + ")";
+      if (f->atom < token_texts.size()) return token_texts[f->atom];
+      out = "tok";
+      out += std::to_string(f->atom);
+      return out;
+    case Op::Not: return wrap("!", nullptr, "");
+    case Op::And: return wrap("(", " && ", ")");
+    case Op::Or: return wrap("(", " || ", ")");
+    case Op::Implies: return wrap("(", " -> ", ")");
+    case Op::Next: return wrap("next(", nullptr, ")");
+    case Op::Until: return wrap("(", " until! ", ")");
+    case Op::Always: return wrap("always(", nullptr, ")");
+    case Op::Eventually: return wrap("eventually(", nullptr, ")");
   }
   return "?";
 }

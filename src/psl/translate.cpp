@@ -78,8 +78,13 @@ Encoding build_chain(const std::vector<spec::Fragment>& chain,
                      spec::Name trigger, bool with_after,
                      bool retire_on_reset, std::size_t max_clauses,
                      const spec::Alphabet* ab) {
-  const auto text_of = [ab](spec::Name name) {
-    return ab != nullptr ? ab->text(name) : "n" + std::to_string(name);
+  const auto text_of = [ab](spec::Name name) -> std::string {
+    if (ab != nullptr) return ab->text(name);
+    // Appended, not `"n" + std::to_string(name)`: GCC 12 at -O3 reports a
+    // spurious -Wrestrict for a literal plus an rvalue string.
+    std::string text = "n";
+    text += std::to_string(name);
+    return text;
   };
   Encoding enc;
   enc.retire_on_reset = retire_on_reset;

@@ -34,7 +34,11 @@ NameSet Property::alphabet() const {
 std::string to_string(const Range& r, const Alphabet& ab) {
   std::string out = ab.text(r.name);
   if (!r.trivial()) {
-    out += "[" + std::to_string(r.lo) + "," + std::to_string(r.hi) + "]";
+    out += '[';
+    out += std::to_string(r.lo);
+    out += ',';
+    out += std::to_string(r.hi);
+    out += ']';
   }
   return out;
 }
@@ -61,14 +65,26 @@ std::string to_string(const LooseOrdering& l, const Alphabet& ab) {
   return out;
 }
 
+// Built by appending: GCC 12 at -O3 reports a spurious -Wrestrict for
+// `"(" + std::string&&` chains (the rvalue overload inserts at the front).
 std::string to_string(const Antecedent& a, const Alphabet& ab) {
-  return "(" + to_string(a.pattern, ab) + " << " + ab.text(a.trigger) + ", " +
-         (a.repeated ? "true" : "false") + ")";
+  std::string out = "(";
+  out += to_string(a.pattern, ab);
+  out += " << ";
+  out += ab.text(a.trigger);
+  out += a.repeated ? ", true)" : ", false)";
+  return out;
 }
 
 std::string to_string(const TimedImplication& t, const Alphabet& ab) {
-  return "(" + to_string(t.antecedent, ab) + " => " +
-         to_string(t.consequent, ab) + ", " + t.bound.to_string() + ")";
+  std::string out = "(";
+  out += to_string(t.antecedent, ab);
+  out += " => ";
+  out += to_string(t.consequent, ab);
+  out += ", ";
+  out += t.bound.to_string();
+  out += ')';
+  return out;
 }
 
 std::string to_string(const Property& p, const Alphabet& ab) {

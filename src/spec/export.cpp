@@ -19,7 +19,10 @@ void emit_plan_tree(const OrderingPlan& plan, const Alphabet& ab,
   out += "  root [label=\"" + escape(root_label) + "\", style=bold];\n";
   for (std::size_t f = 0; f < plan.fragments.size(); ++f) {
     const FragmentPlan& fp = plan.fragments[f];
-    const std::string fid = "f" + std::to_string(f);
+    // Appended, not `"f" + std::to_string(f)`: GCC 12 at -O3 reports a
+    // spurious -Wrestrict for a literal plus an rvalue string.
+    std::string fid = "f";
+    fid += std::to_string(f);
     out += "  " + fid + " [label=\"F" + std::to_string(f + 1) + "  (" +
            (fp.join == Join::Conj ? "∧" : "∨") + ")\"];\n";
     out += "  root -> " + fid + ";\n";

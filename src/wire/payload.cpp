@@ -1,7 +1,5 @@
 #include "wire/payload.hpp"
 
-#include <unordered_map>
-
 namespace loom::wire {
 namespace {
 
@@ -55,28 +53,6 @@ void decode_monitor_stats(Decoder& d, mon::MonitorStats& s) {
   s.max_ops_per_event = d.u64();
 }
 
-void encode_compile_stats(Encoder& e, const abv::CompileStats& s) {
-  put_size(e, s.plans_built);
-  put_size(e, s.viapsl_encodings);
-  put_size(e, s.instances_stamped);
-  put_size(e, s.instance_reuses);
-  put_size(e, s.plan_cache_hits);
-  put_size(e, s.plan_cache_misses);
-  encode_backend(e, s.backend_requested);
-  encode_backend(e, s.backend_chosen);
-}
-
-void decode_compile_stats(Decoder& d, abv::CompileStats& s) {
-  s.plans_built = get_size(d);
-  s.viapsl_encodings = get_size(d);
-  s.instances_stamped = get_size(d);
-  s.instance_reuses = get_size(d);
-  s.plan_cache_hits = get_size(d);
-  s.plan_cache_misses = get_size(d);
-  s.backend_requested = decode_backend(d);
-  s.backend_chosen = decode_backend(d);
-}
-
 void encode_range_cov(Encoder& e, const abv::RecognizerCoverage::RangeCov& c) {
   e.put_u32(c.name);
   e.put_u8(c.state_mask);
@@ -93,54 +69,9 @@ void decode_range_cov(Decoder& d, abv::RecognizerCoverage::RangeCov& c) {
   c.hi = d.u32();
 }
 
-}  // namespace
-
-void encode_trace(Encoder& e, const spec::Trace& trace,
-                  const spec::Alphabet& ab) {
-  // Name table in first-appearance order: the stream is self-contained, and
-  // a short trace ships only the names it actually uses.
-  std::unordered_map<spec::Name, std::uint64_t> table;
-  std::vector<spec::Name> order;
-  for (const auto& ev : trace) {
-    if (table.emplace(ev.name, order.size()).second) order.push_back(ev.name);
-  }
-  e.put_u64(order.size());
-  for (const spec::Name n : order) e.put_string(ab.text(n));
-  e.put_u64(trace.size());
-  for (const auto& ev : trace) {
-    e.put_u64(table.at(ev.name));
-    e.put_time(ev.time);
-  }
-}
-
-bool decode_trace(Decoder& d, spec::Trace& trace, spec::Alphabet& ab) {
-  // A name costs at least its 8-byte length word; an event is 16 bytes.
-  const std::uint64_t names = d.count(8, "trace name table");
-  std::vector<spec::Name> ids;
-  ids.reserve(static_cast<std::size_t>(names));
-  std::string text;
-  for (std::uint64_t i = 0; i < names && d.ok(); ++i) {
-    d.string_into(text);
-    if (d.ok()) ids.push_back(ab.name(text));
-  }
-  const std::uint64_t events = d.count(16, "trace event list");
-  trace.clear();
-  if (d.ok()) trace.reserve(static_cast<std::size_t>(events));
-  for (std::uint64_t i = 0; i < events && d.ok(); ++i) {
-    const std::size_t at = d.offset();
-    const std::uint64_t idx = d.u64();
-    const sim::Time t = d.time();
-    if (!d.ok()) break;
-    if (idx >= ids.size()) {
-      d.fail_at(at, "trace event names table entry " + std::to_string(idx) +
-                        " of " + std::to_string(ids.size()));
-      break;
-    }
-    trace.push_back({ids[static_cast<std::size_t>(idx)], t});
-  }
-  return d.ok();
-}
-
+// The options a worker's engine reads.  The six supervisor-only options
+// stay with the parent; decode leaves them (and plan_cache) at their
+// defaults.
 void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   e.put_u64(o.first_seed);
   put_size(e, o.seeds);
@@ -152,20 +83,14 @@ void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   e.put_bool(o.check_viapsl);
   encode_backend(e, o.backend);
   put_size(e, o.threads);
-  put_size(e, o.shard_size);
   put_size(e, o.checkpoint_stride);
-  put_size(e, o.workers);
-  e.put_u64(o.worker_command.size());
-  for (const auto& arg : o.worker_command) e.put_string(arg);
   e.put_u8(static_cast<std::uint8_t>(o.worker_fault));
   put_size(e, o.worker_fault_at);
-  put_size(e, o.worker_timeout_ms);
-  put_size(e, o.worker_retries);
-  e.put_bool(o.allow_partial);
   put_size(e, o.lane_width);
 }
 
 bool decode_options(Decoder& d, abv::CampaignOptions& o) {
+  o = abv::CampaignOptions{};
   o.first_seed = d.u64();
   o.seeds = get_size(d);
   o.stimuli.rounds = get_size(d);
@@ -176,15 +101,7 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.check_viapsl = d.boolean();
   o.backend = decode_backend(d);
   o.threads = get_size(d);
-  o.shard_size = get_size(d);
   o.checkpoint_stride = get_size(d);
-  o.workers = get_size(d);
-  const std::uint64_t args = d.count(8, "worker command");
-  o.worker_command.clear();
-  for (std::uint64_t i = 0; i < args && d.ok(); ++i) {
-    o.worker_command.emplace_back();
-    d.string_into(o.worker_command.back());
-  }
   const std::size_t at = d.offset();
   const std::uint8_t fault = d.u8();
   if (d.ok() &&
@@ -193,15 +110,14 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   }
   if (d.ok()) o.worker_fault = static_cast<abv::WorkerFault>(fault);
   o.worker_fault_at = get_size(d);
-  o.worker_timeout_ms = get_size(d);
-  o.worker_retries = get_size(d);
-  o.allow_partial = d.boolean();
   o.lane_width = get_size(d);
-  // Borrowed pointers never cross a process boundary.
-  o.plan_cache = nullptr;
   return d.ok();
 }
 
+// The counters a shard sets (run_shard).  Everything else in a
+// CampaignResult is the parent's to fill: run_campaigns overwrites the
+// coverage ratios, the plan-compilation stats and the backends from its
+// own plans, and the retry count and failure records from supervision.
 void encode_result(Encoder& e, const abv::CampaignResult& r) {
   put_size(e, r.traces);
   put_size(e, r.events);
@@ -209,26 +125,16 @@ void encode_result(Encoder& e, const abv::CampaignResult& r) {
   put_size(e, r.oracle_disagreements);
   put_size(e, r.viapsl_false_alarms);
   for (const auto& m : r.mutation) encode_mutation_stats(e, m);
-  e.put_f64(r.alphabet_coverage);
-  e.put_f64(r.recognizer_state_coverage);
   encode_monitor_stats(e, r.monitor_stats);
-  encode_compile_stats(e, r.compile_stats);
+  put_size(e, r.compile_stats.instances_stamped);
+  put_size(e, r.compile_stats.instance_reuses);
   put_size(e, r.trace_cache_hits);
   put_size(e, r.trace_cache_misses);
   put_size(e, r.checkpoint_hits);
   put_size(e, r.events_skipped);
-  put_size(e, r.worker_retries);
   e.put_u64(r.lane_waves);
   e.put_u64(r.lanes_filled);
   e.put_u64(r.lane_capacity);
-  e.put_u64(r.shard_failures.size());
-  for (const auto& f : r.shard_failures) {
-    put_size(e, f.worker);
-    put_size(e, f.shard);
-    put_size(e, f.unit_begin);
-    put_size(e, f.unit_end);
-    e.put_string(f.diagnostic);
-  }
 }
 
 bool decode_result(Decoder& d, abv::CampaignResult& r) {
@@ -239,70 +145,20 @@ bool decode_result(Decoder& d, abv::CampaignResult& r) {
   r.oracle_disagreements = get_size(d);
   r.viapsl_false_alarms = get_size(d);
   for (auto& m : r.mutation) decode_mutation_stats(d, m);
-  r.alphabet_coverage = d.f64();
-  r.recognizer_state_coverage = d.f64();
   decode_monitor_stats(d, r.monitor_stats);
-  decode_compile_stats(d, r.compile_stats);
+  r.compile_stats.instances_stamped = get_size(d);
+  r.compile_stats.instance_reuses = get_size(d);
   r.trace_cache_hits = get_size(d);
   r.trace_cache_misses = get_size(d);
   r.checkpoint_hits = get_size(d);
   r.events_skipped = get_size(d);
-  r.worker_retries = get_size(d);
   r.lane_waves = d.u64();
   r.lanes_filled = d.u64();
   r.lane_capacity = d.u64();
-  // A failure record is at least four u64 fields plus the diagnostic's
-  // 8-byte length word.
-  const std::uint64_t failures = d.count(40, "shard failure list");
-  r.shard_failures.clear();
-  for (std::uint64_t i = 0; i < failures && d.ok(); ++i) {
-    abv::CampaignResult::ShardFailure f;
-    f.worker = get_size(d);
-    f.shard = get_size(d);
-    f.unit_begin = get_size(d);
-    f.unit_end = get_size(d);
-    d.string_into(f.diagnostic);
-    if (d.ok()) r.shard_failures.push_back(std::move(f));
-  }
   return d.ok();
 }
 
-void encode_snapshot(Encoder& e, const mon::Snapshot& snap) {
-  e.put_u64(snap.word_count());
-  for (const std::uint64_t w : snap.words()) e.put_u64(w);
-  e.put_u64(snap.string_count());
-  for (std::size_t i = 0; i < snap.string_count(); ++i) {
-    e.put_string(snap.string_at(i));
-  }
-}
-
-bool decode_snapshot(Decoder& d, mon::Snapshot& snap) {
-  const std::uint64_t words = d.count(8, "snapshot word");
-  snap.clear();
-  for (std::uint64_t i = 0; i < words && d.ok(); ++i) {
-    const std::size_t at = d.offset();
-    const std::uint64_t w = d.u64();
-    if (!d.ok()) break;
-    // The leading word is the monitor's tag: enforce the snapshot format
-    // version here too, so a foreign-version snapshot rejects at the wire
-    // with a positioned diagnostic instead of deep inside restore().
-    if (i == 0 && mon::snapshot_tag_version(w) != mon::kSnapshotVersion) {
-      d.fail_at(at, "snapshot format version " +
-                        std::to_string(mon::snapshot_tag_version(w)) +
-                        ", this build reads version " +
-                        std::to_string(mon::kSnapshotVersion));
-      break;
-    }
-    snap.put_u64(w);
-  }
-  const std::uint64_t strings = d.count(8, "snapshot string pool");
-  std::string text;
-  for (std::uint64_t i = 0; i < strings && d.ok(); ++i) {
-    d.string_into(text);
-    if (d.ok()) snap.put_string(text);
-  }
-  return d.ok();
-}
+}  // namespace
 
 void encode_worker_request(Encoder& e, const WorkerRequestData& req) {
   e.put_u64(req.names.size());

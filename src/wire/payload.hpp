@@ -1,19 +1,18 @@
-//! Payload codecs: the engine types that cross the wire, written and read
-//! in a fixed field order over the wire::Encoder/Decoder primitives.
+//! Payload codecs: the four worker-protocol payloads behind cross-process
+//! campaign sharding, written and read in a fixed field order over the
+//! wire::Encoder/Decoder primitives.  Each payload carries only the fields
+//! its receiver reads.
 //!
-//! Four public payloads (traces, campaign options, campaign results,
-//! monitor snapshots) plus the worker-protocol payloads behind
-//! cross-process campaign sharding.  Every decode_* validates as it reads
-//! — counts against remaining bytes before sizing containers, enum bytes
-//! against their range, snapshot tag words against the snapshot format
-//! version — and reports failures through the Decoder's positioned
-//! diagnostic, so a corrupt or hostile payload rejects cleanly
-//! (tests/wire_fuzz_test.cpp holds the codecs to that under ASan+UBSan).
+//! Every decode_* validates as it reads — counts against remaining bytes
+//! before sizing containers, enum bytes against their range — and reports
+//! failures through the Decoder's positioned diagnostic, so a corrupt or
+//! hostile payload rejects cleanly (tests/wire_fuzz_test.cpp holds the
+//! codecs to that under ASan+UBSan).
 //!
-//! Identity contract (tests/wire_roundtrip_test.cpp): for every payload
-//! type, decode(encode(x)) compares equal to x field for field — doubles
-//! bit for bit, because the sixth differential invariant (in-process ≡
-//! cross-process campaigns) rides on these codecs.
+//! Identity contract (tests/wire_roundtrip_test.cpp): decode(encode(x))
+//! reproduces every field the payload carries, because the sixth
+//! differential invariant (in-process ≡ cross-process campaigns) rides on
+//! these codecs.
 #pragma once
 
 #include <cstdint>
@@ -21,43 +20,9 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/snapshot.hpp"
-#include "spec/alphabet.hpp"
-#include "spec/reference.hpp"
 #include "wire/wire.hpp"
 
 namespace loom::wire {
-
-/// abv::Trace (Payload::Trace): a name table (texts in first-appearance
-/// order) plus events as (table index, picoseconds), so the byte stream is
-/// self-contained — ids are re-interned by the receiving alphabet.
-void encode_trace(Encoder& e, const spec::Trace& trace,
-                  const spec::Alphabet& ab);
-/// Interns the table into `ab`; returns false (with the Decoder holding a
-/// positioned error) on any malformation.
-bool decode_trace(Decoder& d, spec::Trace& trace, spec::Alphabet& ab);
-
-/// abv::CampaignOptions (Payload::Options).  The plan_cache pointer does
-/// not cross the wire (a decoded options block has plan_cache == nullptr);
-/// every other field round-trips, workers/worker_command/worker_fault
-/// included — the parent zeroes those itself before handing options to a
-/// worker, so a worker never recursively spawns workers.
-void encode_options(Encoder& e, const abv::CampaignOptions& options);
-bool decode_options(Decoder& d, abv::CampaignOptions& options);
-
-/// abv::CampaignResult (Payload::Result): every counter, the five
-/// MutationStats, both coverage ratios (bit-exact f64), MonitorStats,
-/// CompileStats, the engine diagnostics (retry count included) and the
-/// per-shard failure records of a degraded run.
-void encode_result(Encoder& e, const abv::CampaignResult& result);
-bool decode_result(Decoder& d, abv::CampaignResult& result);
-
-/// mon::Snapshot (Payload::Snapshot): the word sequence plus the string
-/// pool.  decode_snapshot rejects a snapshot whose leading tag word names
-/// a foreign format version (the same policy Monitor::restore enforces),
-/// with a positioned diagnostic instead of an exception.
-void encode_snapshot(Encoder& e, const mon::Snapshot& snap);
-bool decode_snapshot(Decoder& d, mon::Snapshot& snap);
 
 // ---------------------------------------------------------------------------
 // Worker protocol (parent campaign process <-> shard worker process).
@@ -82,8 +47,12 @@ struct WorkerShardSpec {
 /// Parent -> worker: everything a fresh process needs to reproduce the
 /// parent's interning and plans bit for bit — the alphabet's names in id
 /// order (with directions), each property's normalized text
-/// (spec::to_string, re-parsed by the worker), the options block and the
-/// assigned shards.
+/// (spec::to_string, re-parsed by the worker), the options the engine
+/// reads and the assigned shards.  The six supervisor-only options
+/// (shard_size, workers, worker_command, worker_timeout_ms,
+/// worker_retries, allow_partial) and the plan_cache pointer do not cross
+/// the wire: a decoded request holds their defaults, so a worker never
+/// forks a fleet of its own.
 struct WorkerRequestData {
   std::vector<std::string> names;
   std::vector<std::uint8_t> directions;  // spec::Direction per name
@@ -97,8 +66,11 @@ bool decode_worker_request(Decoder& d, WorkerRequestData& req);
 
 /// Worker -> parent: one shard's outcome — the partial CampaignResult, the
 /// names the shard observed (bit per alphabet id; the parent replays them
-/// through AlphabetCoverage::record) and, for Drct-backed properties, the
-/// recognizer coverage rows.
+/// through AlphabetCoverage::record) and, for Drct-backed antecedents, the
+/// recognizer coverage rows.  The partial carries only the counters a
+/// shard sets; a decoded partial holds defaults for the rest (coverage
+/// ratios, plan-compilation stats, backends, retries, failure records),
+/// which run_campaigns fills in from its own plans and supervision.
 struct WorkerPartialData {
   std::uint64_t shard = 0;
   std::uint64_t job = 0;

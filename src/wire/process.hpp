@@ -175,7 +175,7 @@ class FdFrameReader {
   std::size_t header_got_ = 0;
   std::size_t payload_got_ = 0;
   bool in_payload_ = false;
-  Payload pending_tag_ = Payload::Trace;
+  Payload pending_tag_ = Payload::WorkerRequest;
   std::uint64_t frames_read_ = 0;
 };
 

@@ -1,16 +1,9 @@
 #include "wire/wire.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace loom::wire {
 
 const char* to_string(Payload p) {
   switch (p) {
-    case Payload::Trace: return "Trace";
-    case Payload::Options: return "Options";
-    case Payload::Result: return "Result";
-    case Payload::Snapshot: return "Snapshot";
     case Payload::WorkerRequest: return "WorkerRequest";
     case Payload::WorkerPartial: return "WorkerPartial";
     case Payload::WorkerDone: return "WorkerDone";
@@ -34,8 +27,6 @@ void Encoder::put_u64(std::uint64_t v) {
     bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
-
-void Encoder::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Encoder::put_string(std::string_view s) {
   put_u64(s.size());
@@ -106,8 +97,6 @@ bool Decoder::boolean() {
   }
   return v != 0;
 }
-
-double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
 void Decoder::string_into(std::string& out) {
   const std::size_t at = offset_;
@@ -182,7 +171,7 @@ bool parse_frame_header(const std::uint8_t* data, std::size_t size,
                      std::to_string(kWireVersion));
   }
   const std::uint8_t tag = d.u8();
-  if (d.ok() && (tag < static_cast<std::uint8_t>(Payload::Trace) ||
+  if (d.ok() && (tag < static_cast<std::uint8_t>(Payload::WorkerRequest) ||
                  tag > static_cast<std::uint8_t>(Payload::WorkerError))) {
     d.fail_at(5, "unknown payload tag " + std::to_string(tag));
   }

@@ -1,5 +1,5 @@
 //! Versioned binary wire format: the length-prefixed frame codec behind
-//! cross-process campaign sharding (and the future loomd daemon).
+//! cross-process campaign sharding.
 //!
 //! A frame is a fixed 16-byte header followed by the payload bytes:
 //!
@@ -10,10 +10,9 @@
 //!   offset 8   u64  payload size   bytes that follow the header
 //!   offset 16  ...  payload        primitives in little-endian order
 //!
-//! Primitives are fixed-width little-endian integers, IEEE doubles moved
-//! bit-exact through u64 (the differential invariants compare doubles byte
-//! for byte), strings as a u64 length plus raw bytes, and bit vectors as a
-//! length word plus 64-bit packed payload (the mon::Snapshot convention).
+//! Primitives are fixed-width little-endian integers, strings as a u64
+//! length plus raw bytes, and bit vectors as a length word plus 64-bit
+//! packed payload (the mon::Snapshot convention).
 //!
 //! Decoding is hostile-input safe by contract (tests/wire_fuzz_test.cpp):
 //! every read is bounds-checked, every length is validated against the
@@ -35,8 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace loom::wire {
 
 /// Format version stamped into every frame header.  Bump on any layout
@@ -48,8 +45,12 @@ namespace loom::wire {
 /// lane-batched wave surface: the lane_width knob in CampaignOptions and
 /// the lane_waves / lanes_filled / lane_capacity counters in
 /// CampaignResult.  Version 4 dropped the six engine-path booleans from
-/// CampaignOptions (the engine has one path per job since).
-constexpr std::uint8_t kWireVersion = 4;
+/// CampaignOptions (the engine has one path per job since).  Version 5
+/// retired the standalone Trace/Options/Result/Snapshot payloads (tags
+/// 1-4) and trimmed the worker payloads to the fields their receivers
+/// read: the request no longer carries the six supervisor-only options,
+/// the partial no longer carries what a shard never sets.
+constexpr std::uint8_t kWireVersion = 5;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;
@@ -60,12 +61,10 @@ constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
 
 constexpr std::size_t kFrameHeaderBytes = 16;
 
-/// What a frame's payload bytes mean.
+/// What a frame's payload bytes mean: the four worker-protocol payloads
+/// (wire/payload.hpp).  Tags 1-4 belonged to payloads retired in version
+/// 5; readers reject them as unknown.
 enum class Payload : std::uint8_t {
-  Trace = 1,          // abv::Trace (wire/payload.hpp)
-  Options = 2,        // abv::CampaignOptions
-  Result = 3,         // abv::CampaignResult
-  Snapshot = 4,       // mon::Snapshot word buffer
   WorkerRequest = 5,  // parent -> worker: alphabet, properties, shards
   WorkerPartial = 6,  // worker -> parent: one job's partial result
   WorkerDone = 7,     // worker -> parent: end of stream, summary count
@@ -99,9 +98,6 @@ class Encoder {
   void put_bool(bool b) { put_u8(b ? 1 : 0); }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
-  /// Bit-exact double transport (no text round-trip loss).
-  void put_f64(double v);
-  void put_time(sim::Time t) { put_u64(t.picoseconds()); }
   /// u64 length + raw bytes.
   void put_string(std::string_view s);
   /// Length word + 64-bit packed payload (mon::Snapshot::put_bits layout).
@@ -140,8 +136,6 @@ class Decoder {
   /// A u8 that must be 0 or 1 (anything else is a diagnostic, so a flipped
   /// bit cannot smuggle a vacuously-true flag through).
   bool boolean();
-  double f64();
-  sim::Time time() { return sim::Time::ps(u64()); }
   /// Assigns into `out` (capacity-reusing); validates the length against
   /// the bytes actually remaining before sizing anything.
   void string_into(std::string& out);
@@ -169,7 +163,7 @@ void write_frame(std::vector<std::uint8_t>& out, Payload tag,
 
 /// A parsed frame view into the caller's buffer (no copy).
 struct Frame {
-  Payload tag = Payload::Trace;
+  Payload tag = Payload::WorkerRequest;
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
 };
@@ -177,7 +171,7 @@ struct Frame {
 /// A validated frame header (streaming readers parse this first, then read
 /// exactly `length` payload bytes off the pipe).
 struct FrameHeader {
-  Payload tag = Payload::Trace;
+  Payload tag = Payload::WorkerRequest;
   std::uint64_t length = 0;
 };
 

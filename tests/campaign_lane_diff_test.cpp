@@ -154,24 +154,48 @@ TEST_P(CampaignLaneDiff, LaneCountersAreSchedulingIndependent) {
 }
 
 TEST_P(CampaignLaneDiff, WireRoundTripPreservesWavedResultsExactly) {
-  // A waved result that crosses the wire (as every worker partial does)
-  // must come back bit-identical — semantic fields and the new lane
-  // counters alike.  This is the seam the sixth invariant leans on when
-  // workers wave.
+  // A waved result that crosses the wire as a worker partial must keep
+  // every counter a shard sets — the semantic fields and the lane counters
+  // alike.  This is the seam the sixth invariant leans on when workers
+  // wave.  The partial does not carry what run_campaigns fills in itself
+  // (coverage ratios, plan-compilation stats, backends); restoring exactly
+  // those from the original must reproduce it field for field.
   LaneConfig s;
   s.lane_width = 8;
   const CampaignRun waved = run_with(GetParam(), s);
   ASSERT_GT(waved.result.lane_waves, 0u);
 
+  wire::WorkerPartialData part;
+  part.partial = waved.result;
   wire::Encoder e;
-  wire::encode_result(e, waved.result);
+  wire::encode_worker_partial(e, part);
   wire::Decoder d(e.bytes());
-  CampaignResult back;
-  ASSERT_TRUE(wire::decode_result(d, back)) << d.error().to_string();
-  EXPECT_TRUE(loom::testing::results_identical(back, waved.result));
+  wire::WorkerPartialData back_part;
+  ASSERT_TRUE(wire::decode_worker_partial(d, back_part))
+      << d.error().to_string();
+  ASSERT_TRUE(d.exhausted());
+  CampaignResult back = back_part.partial;
   EXPECT_EQ(back.lane_waves, waved.result.lane_waves);
   EXPECT_EQ(back.lanes_filled, waved.result.lanes_filled);
   EXPECT_EQ(back.lane_capacity, waved.result.lane_capacity);
+  EXPECT_EQ(back.compile_stats.instances_stamped,
+            waved.result.compile_stats.instances_stamped);
+  EXPECT_EQ(back.compile_stats.instance_reuses,
+            waved.result.compile_stats.instance_reuses);
+
+  back.alphabet_coverage = waved.result.alphabet_coverage;
+  back.recognizer_state_coverage = waved.result.recognizer_state_coverage;
+  back.compile_stats.plans_built = waved.result.compile_stats.plans_built;
+  back.compile_stats.viapsl_encodings =
+      waved.result.compile_stats.viapsl_encodings;
+  back.compile_stats.plan_cache_hits =
+      waved.result.compile_stats.plan_cache_hits;
+  back.compile_stats.plan_cache_misses =
+      waved.result.compile_stats.plan_cache_misses;
+  back.compile_stats.backend_requested =
+      waved.result.compile_stats.backend_requested;
+  back.compile_stats.backend_chosen = waved.result.compile_stats.backend_chosen;
+  EXPECT_TRUE(loom::testing::results_identical(back, waved.result));
   spec::Alphabet ab;  // report text regenerates from the decoded counters
   EXPECT_EQ(back.report(ab, true), waved.result.report(ab, true));
 }

@@ -8,13 +8,16 @@
 // failure records instead of a throw), the frame-deadline escalation (a
 // Hang-faulted worker that ignores SIGTERM dies to SIGKILL without wedging
 // the suite), the post-Done exit grace (a worker that lingers after its
-// Done frame is retired within it, deadline or not), and the
-// descriptor-hygiene / bounded-wait process primitives underneath.
+// Done frame is retired within it, deadline or not), the partial check (a
+// worker's recognizer rows must fit the property, or it is retired by
+// name), and the descriptor-hygiene / bounded-wait process primitives
+// underneath.
 //
 // Custom main: the binary re-execs itself with --worker so the fork+exec
 // spawn path runs against a real exec'd worker, not just the fork-only
-// in-image path; two more hidden modes run a worker that lingers after
-// its Done frame.
+// in-image path.  Three more hidden modes run a worker that lingers after
+// its Done frame (with stdout open, or closed) and one that answers with
+// misshapen recognizer rows.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -365,6 +368,55 @@ TEST(CampaignSupervision, WorkerClosingStdoutThenLingeringEndsWithinTheGrace) {
 }
 
 // ---------------------------------------------------------------------------
+// Partial validation: recognizer rows are checked against the job's plan.
+
+TEST(CampaignSupervision, MisshapenRecognizerRowsRetireTheWorkerByName) {
+  // An exec'd worker (see main) answers every shard with recognizer rows
+  // that do not fit the property, then a clean Done.  The parent must
+  // retire it with a diagnostic naming the defect instead of merging the
+  // rows — RecognizerCoverage::merge trusts their shape.
+  struct Case {
+    const char* defect;
+    mon::Backend backend;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"extra-fragment", mon::Backend::Drct,
+       "recognizer rows for 3 fragments, the property has 2"},
+      {"missing-row", mon::Backend::Drct,
+       "recognizer fragment F1: 1 rows for 2 ranges"},
+      {"wrong-name", mon::Backend::Drct,
+       "recognizer fragment F2 row 0: name/bounds do not match"},
+      {"wrong-bounds", mon::Backend::Drct,
+       "recognizer fragment F1 row 1: name/bounds do not match"},
+      {"stray-state-bits", mon::Backend::Drct,
+       "state bits outside the six recognizer states"},
+      {"rows-for-vm", mon::Backend::Auto,
+       "recognizer rows for a property without Drct antecedent "
+       "recognizers (backend vm)"},
+  };
+  for (const Case& c : cases) {
+    spec::Alphabet ab;
+    auto p = loom::testing::parse(kProperty, ab);
+    CampaignOptions opt = small_options();
+    opt.backend = c.backend;
+    opt.lane_width = 1;
+    opt.workers = 1;
+    opt.worker_command = {g_self, "--misshapen-rows", c.defect};
+    try {
+      run_campaign(p, ab, opt);
+      ADD_FAILURE() << c.defect << ": expected WorkerFailure";
+    } catch (const WorkerFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("worker 0: shard 0: "), std::string::npos)
+          << c.defect << ": " << what;
+      EXPECT_NE(what.find(c.expect), std::string::npos)
+          << c.defect << ": " << what;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Worker-count and layout edges.
 
 TEST(CampaignSupervision, MoreWorkersThanShardsClamps) {
@@ -474,6 +526,69 @@ TEST(CampaignSupervision, RequestTimeoutBoundsAnAbandonedWorker) {
 }  // namespace
 }  // namespace loom::abv
 
+namespace loom::abv {
+namespace {
+
+// The --misshapen-rows worker: reads the request, then answers every
+// assigned shard with an empty partial whose recognizer rows have the
+// job's plan shape bent by `defect`, and ends with a clean Done.
+int run_misshapen_rows_worker(const std::string& defect) {
+  wire::FdFrameReader reader(0);
+  wire::Frame frame;
+  wire::DecodeError err;
+  if (reader.next(frame, err) != wire::FdFrameReader::Status::Frame) return 1;
+  wire::WorkerRequestData req;
+  wire::Decoder d(frame.data, frame.size);
+  if (!wire::decode_worker_request(d, req)) return 1;
+  spec::Alphabet ab;
+  for (const auto& name : req.names) ab.name(name);
+  std::vector<spec::Property> props;
+  for (const auto& text : req.properties) {
+    props.push_back(loom::testing::parse(text, ab));
+  }
+
+  wire::Encoder enc;
+  std::vector<std::uint8_t> framed;
+  for (const auto& s : req.shards) {
+    // The right shape first: what a Drct shard of this job would send.
+    const mon::CompiledProperty compiled =
+        mon::CompiledProperty::compile(props[s.job], ab);
+    wire::WorkerPartialData part;
+    part.shard = s.shard;
+    part.job = s.job;
+    part.has_recognizer = true;
+    for (const auto& frag : compiled.plan().fragments) {
+      part.recognizer_rows.emplace_back();
+      for (const auto& range : frag.ranges) {
+        RecognizerCoverage::RangeCov row;
+        row.name = range.name;
+        row.lo = range.lo;
+        row.hi = range.hi;
+        part.recognizer_rows.back().push_back(row);
+      }
+    }
+    auto& rows = part.recognizer_rows;
+    if (defect == "extra-fragment") rows.push_back(rows.back());
+    if (defect == "missing-row") rows[0].pop_back();
+    if (defect == "wrong-name") rows[1][0].name = rows[0][0].name;
+    if (defect == "wrong-bounds") rows[0][1].hi += 1;
+    if (defect == "stray-state-bits") rows[0][0].state_mask = 0xC1;
+    enc.clear();
+    wire::encode_worker_partial(enc, part);
+    framed.clear();
+    wire::write_frame(framed, wire::Payload::WorkerPartial, enc);
+    if (!wire::write_all(1, framed.data(), framed.size())) return 1;
+  }
+  enc.clear();
+  wire::encode_worker_done(enc, req.shards.size());
+  framed.clear();
+  wire::write_frame(framed, wire::Payload::WorkerDone, enc);
+  return wire::write_all(1, framed.data(), framed.size()) ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace loom::abv
+
 #endif  // LOOM_WIRE_HAS_PROCESS
 
 int main(int argc, char** argv) {
@@ -494,6 +609,9 @@ int main(int argc, char** argv) {
     if (close_first) ::close(1);
     std::this_thread::sleep_for(std::chrono::minutes(1));
     return code;
+  }
+  if (argc >= 3 && std::strcmp(argv[1], "--misshapen-rows") == 0) {
+    return loom::abv::run_misshapen_rows_worker(argv[2]);
   }
   g_self = argv[0];
 #endif

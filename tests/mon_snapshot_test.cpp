@@ -20,8 +20,6 @@
 #include "psl/clause_monitor.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
-#include "wire/payload.hpp"
-#include "wire/wire.hpp"
 
 namespace loom::mon {
 namespace {
@@ -387,64 +385,6 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
       EXPECT_NE(what.find("reads version 1"), std::string::npos)
           << kind.label << ": " << what;
     }
-    // The same forged snapshot through the wire decoder: rejected with a
-    // positioned diagnostic (the pipe-facing twin of the restore() throw),
-    // so a future-version snapshot cannot even enter a parent process.
-    wire::Encoder enc;
-    wire::encode_snapshot(enc, snap);
-    Snapshot decoded;
-    wire::Decoder d(enc.bytes());
-    EXPECT_FALSE(wire::decode_snapshot(d, decoded)) << kind.label;
-    EXPECT_FALSE(d.ok()) << kind.label;
-    EXPECT_NE(d.error().message.find("snapshot format version 2"),
-              std::string::npos)
-        << kind.label << ": " << d.error().to_string();
-  }
-}
-
-TEST(MonSnapshot, WirePathReusesBuffersLikeTheInMemoryPath) {
-  // The wire crossing must keep the snapshot pool discipline: one Encoder,
-  // one decode-target Snapshot and one source buffer serve a whole fuzzed
-  // run without the encoder's buffer growing past its warmed capacity and
-  // with the decoded word counts tracking the in-memory counts exactly.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto names = names_of(p, ab);
-  auto monitor = make_monitor(p);
-  support::Rng rng = support::Rng::stream(9, 7);
-  const spec::Trace trace = fuzz_trace(names, rng);
-
-  Snapshot snap;
-  Snapshot decoded;
-  wire::Encoder enc;
-  // Warm-up pass: replay the whole trace once so the encoder has seen the
-  // largest snapshot shape this run produces (a violation report appends
-  // three words plus its reason string).
-  for (const auto& ev : trace) {
-    monitor->observe(ev.name, ev.time);
-    monitor->snapshot(snap);
-    enc.clear();
-    wire::encode_snapshot(enc, snap);
-  }
-  monitor->reset();
-  const std::size_t warm_bytes = enc.bytes().capacity();
-  auto cold = make_monitor(p);
-  for (const auto& ev : trace) {
-    monitor->observe(ev.name, ev.time);
-    monitor->snapshot(snap);
-    enc.clear();
-    wire::encode_snapshot(enc, snap);
-    EXPECT_LE(enc.bytes().capacity(), warm_bytes);
-    wire::Decoder d(enc.bytes());
-    ASSERT_TRUE(wire::decode_snapshot(d, decoded)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    EXPECT_EQ(decoded.word_count(), snap.word_count());
-    EXPECT_EQ(decoded.string_count(), snap.string_count());
-    // And the decoded copy is restorable: the wire is not just shuttling
-    // bytes, it is shuttling working monitor state.
-    cold->restore(decoded);
-    expect_same_outcome(*monitor, *cold, "wire-path restore");
   }
 }
 

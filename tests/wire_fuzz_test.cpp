@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/snapshot.hpp"
 #include "support/rng.hpp"
-#include "testing.hpp"
 #include "wire/payload.hpp"
 #include "wire/wire.hpp"
 
@@ -41,27 +39,6 @@ bool decode_as(Payload tag, const std::uint8_t* data, std::size_t size,
   Decoder d(data, size);
   bool ok = false;
   switch (tag) {
-    case Payload::Trace: {
-      spec::Alphabet ab;
-      spec::Trace t;
-      ok = decode_trace(d, t, ab);
-      break;
-    }
-    case Payload::Options: {
-      abv::CampaignOptions o;
-      ok = decode_options(d, o);
-      break;
-    }
-    case Payload::Result: {
-      abv::CampaignResult r;
-      ok = decode_result(d, r);
-      break;
-    }
-    case Payload::Snapshot: {
-      mon::Snapshot s;
-      ok = decode_snapshot(d, s);
-      break;
-    }
     case Payload::WorkerRequest: {
       WorkerRequestData req;
       ok = decode_worker_request(d, req);
@@ -90,58 +67,12 @@ bool decode_as(Payload tag, const std::uint8_t* data, std::size_t size,
 std::vector<CorpusEntry> build_corpus() {
   std::vector<CorpusEntry> corpus;
   Encoder e;
-  support::Rng rng = support::Rng::stream(0xC0B9, 11);
-
-  {
-    spec::Alphabet ab;
-    spec::Trace t;
-    const char* pool[] = {"a", "b", "irq", "set_imgAddr"};
-    std::uint64_t ps = 0;
-    for (int i = 0; i < 12; ++i) {
-      ps += 1 + rng.below(100);
-      t.push_back({ab.name(pool[rng.below(4)]), sim::Time::ps(ps)});
-    }
-    e.clear();
-    encode_trace(e, t, ab);
-    corpus.push_back({"trace", Payload::Trace, e.bytes()});
-  }
-  {
-    abv::CampaignOptions o;
-    o.seeds = 7;
-    o.worker_command = {"loomcheck", "--worker"};
-    e.clear();
-    encode_options(e, o);
-    corpus.push_back({"options", Payload::Options, e.bytes()});
-  }
-  {
-    abv::CampaignResult r;
-    r.traces = 5;
-    r.events = 321;
-    r.alphabet_coverage = 0.75;
-    r.mutation[2].applied = 9;
-    e.clear();
-    encode_result(e, r);
-    corpus.push_back({"result", Payload::Result, e.bytes()});
-  }
-  {
-    // A real monitor snapshot, tag word included.
-    spec::Alphabet ab;
-    auto p = loom::testing::parse("(({a, b}, &) < c << i, true)", ab);
-    auto compiled = mon::CompiledProperty::compile(p, ab, {});
-    auto m = compiled.instantiate();
-    m->observe(ab.name("a"), sim::Time::ns(5));
-    m->observe(ab.name("b"), sim::Time::ns(7));
-    mon::Snapshot snap;
-    m->snapshot(snap);
-    e.clear();
-    encode_snapshot(e, snap);
-    corpus.push_back({"snapshot", Payload::Snapshot, e.bytes()});
-  }
   {
     WorkerRequestData req;
     req.names = {"a", "b", "c", "noise0"};
     req.directions = {0, 0, 1, 2};
     req.properties = {"(a < b < c << i, true)"};
+    req.options.seeds = 7;
     req.shards = {{0, 0, 0, 6}, {1, 0, 6, 12}};
     e.clear();
     encode_worker_request(e, req);
@@ -152,6 +83,8 @@ std::vector<CorpusEntry> build_corpus() {
     part.shard = 3;
     part.job = 1;
     part.partial.traces = 2;
+    part.partial.events = 321;
+    part.partial.mutation[2].applied = 9;
     part.alphabet_seen = {true, false, true, true, false};
     part.has_recognizer = true;
     abv::RecognizerCoverage::RangeCov row;
@@ -245,8 +178,13 @@ TEST(WireFuzz, HeaderFieldCorruptionsRejectWithNamedDiagnostics) {
       {0, 0x00, "bad magic"},                     // magic byte 0
       {3, 0x4E, "bad magic"},                     // magic byte 3 ("LOON")
       {4, kWireVersion + 1, "wire format version"},  // future version
+      {4, 4, "wire format version 4"},            // the previous version
       {4, 0, "wire format version"},              // ancient version
       {5, 0, "payload tag"},                      // tag below range
+      {5, 1, "payload tag"},                      // retired Trace tag
+      {5, 2, "payload tag"},                      // retired Options tag
+      {5, 3, "payload tag"},                      // retired Result tag
+      {5, 4, "payload tag"},                      // retired Snapshot tag
       {5, 99, "payload tag"},                     // tag above range
       {6, 1, "reserved"},                         // reserved byte 6
       {7, 0x80, "reserved"},                      // reserved byte 7
@@ -326,7 +264,7 @@ TEST(WireFuzz, SingleBitFlipsNeverCrashAndRejectPositioned) {
     }
   }
   // The corpus is structured enough that plenty of flips must trip
-  // validation (length prefixes, enum bytes, booleans, snapshot tags)...
+  // validation (length prefixes, enum bytes, booleans, direction bytes)...
   EXPECT_GT(rejected, 100u);
   // ...and plenty must not (pure value bytes), proving the harness
   // exercises the acceptance path under corruption too.
@@ -355,7 +293,7 @@ TEST(WireFuzz, RandomByteSplattersNeverCrash) {
     // Sometimes decode as a different payload type entirely (a hostile
     // sender can stamp any tag on any bytes).
     const Payload as = rng.chance(1, 3)
-                           ? static_cast<Payload>(1 + rng.below(8))
+                           ? static_cast<Payload>(5 + rng.below(4))
                            : entry.tag;
     DecodeError err;
     if (!decode_as(as, bad.data(), bad.size(), err)) {
@@ -383,7 +321,7 @@ TEST(WireFuzz, PureGarbageStreamsRejectEverywhere) {
     } else {
       expect_positioned(err, junk.size(), "trial " + std::to_string(trial));
     }
-    for (int tag = 1; tag <= 8; ++tag) {
+    for (int tag = 5; tag <= 8; ++tag) {
       DecodeError derr;
       if (!decode_as(static_cast<Payload>(tag), junk.data(), junk.size(),
                      derr)) {
@@ -438,65 +376,21 @@ TEST(WireFuzz, NestedCorruptionInsideWorkerPayloads) {
     EXPECT_EQ(d.error().offset, 0u);
   }
   {
-    // A trace event pointing past its own name table.
-    spec::Alphabet ab;
-    spec::Trace t;
-    t.push_back({ab.name("a"), sim::Time::ns(1)});
+    // A boolean byte of 0xFF inside the request's options (byte-level
+    // strictness: a flipped bit cannot smuggle a vacuously-true flag
+    // through).
+    WorkerRequestData req;
     e.clear();
-    encode_trace(e, t, ab);
-    // Layout: count(names)=1, "a", count(events)=1, idx u64, time u64.
-    // The event's table index is the third-from-last u64; overwrite it.
-    std::vector<std::uint8_t> bad = e.bytes();
-    const std::size_t idx_at = bad.size() - 16;
-    bad[idx_at] = 9;  // index 9 into a 1-entry table
-    spec::Alphabet ab2;
-    spec::Trace back;
-    Decoder d(bad.data(), bad.size());
-    ASSERT_FALSE(decode_trace(d, back, ab2));
-    expect_positioned(d.error(), bad.size(), "trace name index");
-    EXPECT_NE(d.error().message.find("names table"), std::string::npos)
-        << d.error().to_string();
-  }
-  {
-    // A snapshot whose tag word names a future snapshot version: the wire
-    // decoder rejects it exactly like Monitor::restore would, but as a
-    // positioned diagnostic instead of an exception.
-    mon::Snapshot snap;
-    snap.put_u64(mon::snapshot_tag(0x414E5443));  // a real ANTC tag...
-    snap.put_u64(7);
-    e.clear();
-    encode_snapshot(e, snap);
-    mon::Snapshot out;
-    {
-      Decoder d(e.bytes());
-      ASSERT_TRUE(decode_snapshot(d, out));  // current version: accepted
-    }
-    snap.set_word(0, (std::uint64_t{mon::kSnapshotVersion + 1} << 32) |
-                         0x414E5443);
-    e.clear();
-    encode_snapshot(e, snap);
-    Decoder d(e.bytes());
-    ASSERT_FALSE(decode_snapshot(d, out));
-    expect_positioned(d.error(), e.size(), "future snapshot");
-    EXPECT_NE(d.error().message.find("snapshot format version 2"),
-              std::string::npos)
-        << d.error().to_string();
-  }
-  {
-    // A boolean byte of 0xFF inside options (byte-level strictness: a
-    // flipped bit cannot smuggle a vacuously-true flag through).
-    abv::CampaignOptions o;
-    e.clear();
-    encode_options(e, o);
+    encode_worker_request(e, req);
     std::vector<std::uint8_t> bad = e.bytes();
     bool tripped = false;
     for (std::size_t i = 0; i < bad.size() && !tripped; ++i) {
       if (bad[i] > 1) continue;  // only bytes that could be the flags
       std::vector<std::uint8_t> mutant = bad;
       mutant[i] = 0xFF;
-      abv::CampaignOptions back;
+      WorkerRequestData back;
       Decoder d(mutant.data(), mutant.size());
-      if (!decode_options(d, back) &&
+      if (!decode_worker_request(d, back) &&
           d.error().message.find("boolean") != std::string::npos) {
         expect_positioned(d.error(), mutant.size(), "boolean strictness");
         tripped = true;

@@ -1,20 +1,17 @@
-// The wire codec's identity half: decode(encode(x)) ≡ x, field for field
-// and double-bit for double-bit, for every payload type — on handcrafted
-// values, on seeded-RNG fuzzed values, and on real campaign artifacts.
-// This is the contract the sixth engine invariant (in-process ≡
-// cross-process campaigns) rides on; the rejection half lives in
-// wire_fuzz_test.cpp.  Also locks the buffer-reuse discipline: one Encoder
-// and one target buffer serve many frames without cross-talk.
+// The wire codec's identity half: decode(encode(x)) reproduces every
+// field a worker payload carries — on handcrafted and on seeded-RNG
+// fuzzed values (campaign_lane_diff_test.cpp sends real campaign results
+// through the partial codec) — and leaves every field it does not carry
+// at its default.  This is the contract the sixth
+// engine invariant (in-process ≡ cross-process campaigns) rides on; the
+// rejection half lives in wire_fuzz_test.cpp.  Also locks the buffer-reuse
+// discipline: one Encoder serves many frames without growing.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/monitors.hpp"
-#include "mon/snapshot.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 #include "wire/payload.hpp"
@@ -22,20 +19,6 @@
 
 namespace loom::wire {
 namespace {
-
-spec::Trace fuzz_trace(spec::Alphabet& ab, support::Rng& rng,
-                       std::size_t events) {
-  // A handful of names, some shared, some per-trace; strictly increasing
-  // times so the trace is also a plausible monitor input.
-  const char* pool[] = {"a", "b", "start", "irq", "set_imgAddr", "read_img"};
-  spec::Trace t;
-  std::uint64_t ps = 0;
-  for (std::size_t i = 0; i < events; ++i) {
-    ps += 1 + rng.below(5000);
-    t.push_back({ab.name(pool[rng.below(6)]), sim::Time::ps(ps)});
-  }
-  return t;
-}
 
 abv::CampaignOptions fuzz_options(support::Rng& rng) {
   abv::CampaignOptions o;
@@ -110,6 +93,37 @@ abv::CampaignResult fuzz_result(support::Rng& rng) {
   return r;
 }
 
+// What the request codec carries of `o`: the options a worker's engine
+// reads, with the six supervisor-only options (and plan_cache) back at
+// their defaults.
+abv::CampaignOptions engine_fields_of(const abv::CampaignOptions& o) {
+  const abv::CampaignOptions defaults;
+  abv::CampaignOptions e = o;
+  e.shard_size = defaults.shard_size;
+  e.workers = defaults.workers;
+  e.worker_command = defaults.worker_command;
+  e.worker_timeout_ms = defaults.worker_timeout_ms;
+  e.worker_retries = defaults.worker_retries;
+  e.allow_partial = defaults.allow_partial;
+  e.plan_cache = nullptr;
+  return e;
+}
+
+// What the partial codec carries of `r`: the counters a shard sets, with
+// every field run_campaigns fills in itself back at its default.
+abv::CampaignResult shard_fields_of(const abv::CampaignResult& r) {
+  const abv::CampaignResult defaults;
+  abv::CampaignResult s = r;
+  s.alphabet_coverage = defaults.alphabet_coverage;
+  s.recognizer_state_coverage = defaults.recognizer_state_coverage;
+  s.compile_stats = defaults.compile_stats;
+  s.compile_stats.instances_stamped = r.compile_stats.instances_stamped;
+  s.compile_stats.instance_reuses = r.compile_stats.instance_reuses;
+  s.worker_retries = defaults.worker_retries;
+  s.shard_failures.clear();
+  return s;
+}
+
 void expect_options_equal(const abv::CampaignOptions& a,
                           const abv::CampaignOptions& b, const char* what) {
   EXPECT_EQ(a.first_seed, b.first_seed) << what;
@@ -132,16 +146,14 @@ void expect_options_equal(const abv::CampaignOptions& a,
   EXPECT_EQ(a.worker_retries, b.worker_retries) << what;
   EXPECT_EQ(a.allow_partial, b.allow_partial) << what;
   EXPECT_EQ(a.lane_width, b.lane_width) << what;
+  EXPECT_EQ(a.plan_cache, b.plan_cache) << what;
 }
 
-void expect_results_bitwise_equal(const abv::CampaignResult& a,
-                                  const abv::CampaignResult& b,
-                                  const char* what) {
+void expect_results_equal(const abv::CampaignResult& a,
+                          const abv::CampaignResult& b, const char* what) {
   EXPECT_TRUE(loom::testing::results_identical(a, b)) << what;
   // results_identical deliberately skips the engine diagnostics; the wire
-  // must not.  Doubles compare as bits, not values: the invariant grids
-  // compare report bytes, so a codec that "only" loses the last ulp of a
-  // coverage ratio is already broken.
+  // must not.
   EXPECT_EQ(a.trace_cache_hits, b.trace_cache_hits) << what;
   EXPECT_EQ(a.trace_cache_misses, b.trace_cache_misses) << what;
   EXPECT_EQ(a.checkpoint_hits, b.checkpoint_hits) << what;
@@ -159,28 +171,56 @@ void expect_results_bitwise_equal(const abv::CampaignResult& a,
   EXPECT_EQ(a.compile_stats.plan_cache_misses,
             b.compile_stats.plan_cache_misses)
       << what;
-  std::uint64_t abits, bbits;
-  std::memcpy(&abits, &a.alphabet_coverage, 8);
-  std::memcpy(&bbits, &b.alphabet_coverage, 8);
-  EXPECT_EQ(abits, bbits) << what << " (alphabet_coverage bits)";
-  std::memcpy(&abits, &a.recognizer_state_coverage, 8);
-  std::memcpy(&bbits, &b.recognizer_state_coverage, 8);
-  EXPECT_EQ(abits, bbits) << what << " (recognizer_state_coverage bits)";
   EXPECT_EQ(a.worker_retries, b.worker_retries) << what;
   EXPECT_EQ(a.lane_waves, b.lane_waves) << what;
   EXPECT_EQ(a.lanes_filled, b.lanes_filled) << what;
   EXPECT_EQ(a.lane_capacity, b.lane_capacity) << what;
-  ASSERT_EQ(a.shard_failures.size(), b.shard_failures.size()) << what;
-  for (std::size_t i = 0; i < a.shard_failures.size(); ++i) {
-    EXPECT_EQ(a.shard_failures[i].worker, b.shard_failures[i].worker) << what;
-    EXPECT_EQ(a.shard_failures[i].shard, b.shard_failures[i].shard) << what;
-    EXPECT_EQ(a.shard_failures[i].unit_begin, b.shard_failures[i].unit_begin)
-        << what;
-    EXPECT_EQ(a.shard_failures[i].unit_end, b.shard_failures[i].unit_end)
-        << what;
-    EXPECT_EQ(a.shard_failures[i].diagnostic, b.shard_failures[i].diagnostic)
-        << what;
+  EXPECT_EQ(a.shard_failures.size(), b.shard_failures.size()) << what;
+}
+
+WorkerRequestData fuzz_request(support::Rng& rng) {
+  WorkerRequestData req;
+  for (std::uint64_t i = rng.below(10); i > 0; --i) {
+    req.names.push_back("name" + std::to_string(i));
+    req.directions.push_back(static_cast<std::uint8_t>(rng.below(3)));
   }
+  for (std::uint64_t i = rng.below(4); i > 0; --i) {
+    req.properties.push_back("(n" + std::to_string(i) + " << i, true)");
+  }
+  req.options = fuzz_options(rng);
+  for (std::uint64_t i = rng.below(6); i > 0; --i) {
+    req.shards.push_back(
+        {rng.below(100), rng.below(4), rng.below(24), rng.below(24)});
+  }
+  return req;
+}
+
+WorkerPartialData fuzz_partial(support::Rng& rng) {
+  WorkerPartialData part;
+  part.shard = rng.below(100);
+  part.job = rng.below(4);
+  part.partial = fuzz_result(rng);
+  part.alphabet_seen.assign(rng.below(70), false);
+  for (std::size_t i = 0; i < part.alphabet_seen.size(); ++i) {
+    part.alphabet_seen[i] = rng.below(2) != 0;
+  }
+  part.has_recognizer = rng.below(2) != 0;
+  if (part.has_recognizer) {
+    for (std::uint64_t f = rng.below(3); f > 0; --f) {
+      std::vector<abv::RecognizerCoverage::RangeCov> frag;
+      for (std::uint64_t r = rng.below(3); r > 0; --r) {
+        abv::RecognizerCoverage::RangeCov row;
+        row.name = static_cast<spec::Name>(rng.below(10));
+        row.state_mask = static_cast<std::uint8_t>(rng.below(64));
+        row.max_count = static_cast<std::uint32_t>(rng.below(20));
+        row.lo = static_cast<std::uint32_t>(1 + rng.below(4));
+        row.hi = row.lo + static_cast<std::uint32_t>(rng.below(4));
+        frag.push_back(row);
+      }
+      part.recognizer_rows.push_back(frag);
+    }
+  }
+  return part;
 }
 
 // Frames a payload and parses it back, asserting the frame layer is
@@ -206,9 +246,6 @@ TEST(WireRoundTrip, PrimitivesSurviveInOrder) {
   e.put_bool(false);
   e.put_u32(0xDEADBEEFu);
   e.put_u64(0x0123456789ABCDEFull);
-  e.put_f64(0.1);  // not exactly representable: must survive bit-exact
-  e.put_f64(-0.0);
-  e.put_time(sim::Time::ps(123456789));
   e.put_string("hello");
   e.put_string("");
   e.put_bits({true, false, true, true});
@@ -222,11 +259,6 @@ TEST(WireRoundTrip, PrimitivesSurviveInOrder) {
   EXPECT_FALSE(d.boolean());
   EXPECT_EQ(d.u32(), 0xDEADBEEFu);
   EXPECT_EQ(d.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(d.f64(), 0.1);
-  const double neg_zero = d.f64();
-  EXPECT_EQ(neg_zero, 0.0);
-  EXPECT_TRUE(std::signbit(neg_zero));
-  EXPECT_EQ(d.time(), sim::Time::ps(123456789));
   std::string s;
   d.string_into(s);
   EXPECT_EQ(s, "hello");
@@ -240,149 +272,67 @@ TEST(WireRoundTrip, PrimitivesSurviveInOrder) {
   EXPECT_TRUE(d.exhausted()) << "remaining=" << d.remaining();
 }
 
-TEST(WireRoundTrip, TracesSurviveFuzzedAndFramed) {
+TEST(WireRoundTrip, RequestCarriesEngineOptionsAndDefaultsTheSupervisorOnes) {
+  // Every option the worker's engine reads survives; the six options only
+  // the supervisor reads are set away from their defaults here and must
+  // arrive at their defaults — workers == 0 in particular, so a worker
+  // can never fork a fleet of its own.
+  mon::CompiledPropertyCache cache;
+  abv::CampaignOptions o;
+  o.first_seed = 77;
+  o.seeds = 5;
+  o.stimuli.rounds = 3;
+  o.stimuli.noise_permille = 125;
+  o.stimuli.noise_names = 2;
+  o.stimuli.max_gap_ns = 40;
+  o.mutants_per_kind = 6;
+  o.check_viapsl = true;
+  o.backend = mon::Backend::Vm;
+  o.threads = 3;
+  o.checkpoint_stride = 9;
+  o.worker_fault = abv::WorkerFault::SlowStream;
+  o.worker_fault_at = 2;
+  o.lane_width = 4;
+  o.shard_size = 7;
+  o.workers = 4;
+  o.worker_command = {"loomcheck", "--worker"};
+  o.worker_timeout_ms = 2500;
+  o.worker_retries = 3;
+  o.allow_partial = true;
+  o.plan_cache = &cache;
+
+  WorkerRequestData req;
+  req.options = o;
+  Encoder enc;
+  encode_worker_request(enc, req);
   std::vector<std::uint8_t> bytes;
-  Encoder enc;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    support::Rng rng = support::Rng::stream(0x51DE + trial, 17);
-    spec::Alphabet ab;
-    const spec::Trace t = fuzz_trace(ab, rng, rng.below(200));
-    enc.clear();  // one encoder serves every trial
-    encode_trace(enc, t, ab);
-    Frame frame;
-    frame_and_parse(enc, Payload::Trace, bytes, frame);
-
-    // Decode into a different alphabet: the stream must be self-contained.
-    spec::Alphabet ab2;
-    spec::Trace back;
-    Decoder d(frame.data, frame.size);
-    ASSERT_TRUE(decode_trace(d, back, ab2)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    ASSERT_EQ(back.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      EXPECT_EQ(ab2.text(back[i].name), ab.text(t[i].name)) << i;
-      EXPECT_EQ(back[i].time, t[i].time) << i;
-    }
-  }
-}
-
-TEST(WireRoundTrip, OptionsSurviveFuzzed) {
-  Encoder enc;
-  for (std::uint64_t trial = 0; trial < 60; ++trial) {
-    support::Rng rng = support::Rng::stream(0x0F75 + trial, 3);
-    const abv::CampaignOptions o = fuzz_options(rng);
-    enc.clear();
-    encode_options(enc, o);
-    abv::CampaignOptions back;
-    Decoder d(enc.bytes());
-    ASSERT_TRUE(decode_options(d, back)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    const std::string what = "trial " + std::to_string(trial);
-    expect_options_equal(back, o, what.c_str());
-    // Borrowed pointers never cross the wire.
-    EXPECT_EQ(back.plan_cache, nullptr);
-  }
-}
-
-TEST(WireRoundTrip, ResultsSurviveFuzzed) {
-  Encoder enc;
-  for (std::uint64_t trial = 0; trial < 60; ++trial) {
-    support::Rng rng = support::Rng::stream(0x4E54 + trial, 5);
-    const abv::CampaignResult r = fuzz_result(rng);
-    enc.clear();
-    encode_result(enc, r);
-    abv::CampaignResult back;
-    Decoder d(enc.bytes());
-    ASSERT_TRUE(decode_result(d, back)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    const std::string what = "trial " + std::to_string(trial);
-    expect_results_bitwise_equal(back, r, what.c_str());
-  }
-}
-
-TEST(WireRoundTrip, ARealCampaignResultSurvivesWithIdenticalReport) {
-  // Not just fuzzed field soup: a result the engine actually produced,
-  // compared through the same report-bytes yardstick the invariant grids
-  // use.
-  spec::Alphabet ab;
-  auto p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  abv::CampaignOptions opt;
-  opt.seeds = 3;
-  opt.stimuli.noise_permille = 50;
-  opt.mutants_per_kind = 4;
-  const abv::CampaignResult r = abv::run_campaign(p, ab, opt);
-
-  Encoder enc;
-  encode_result(enc, r);
-  abv::CampaignResult back;
-  Decoder d(enc.bytes());
-  ASSERT_TRUE(decode_result(d, back)) << d.error().to_string();
+  Frame frame;
+  frame_and_parse(enc, Payload::WorkerRequest, bytes, frame);
+  WorkerRequestData back;
+  back.options.workers = 9;  // decode must not leave stale values behind
+  back.options.worker_command = {"stale"};
+  Decoder d(frame.data, frame.size);
+  ASSERT_TRUE(decode_worker_request(d, back)) << d.error().to_string();
   EXPECT_TRUE(d.exhausted());
-  expect_results_bitwise_equal(back, r, "real campaign");
-  EXPECT_EQ(back.report(ab), r.report(ab));
-  EXPECT_EQ(back.report(ab, true), r.report(ab, true));
-}
 
-TEST(WireRoundTrip, MonitorSnapshotsSurviveAndRestore) {
-  // Snapshot a monitor mid-trace, push the snapshot through the wire, and
-  // restore a fresh instance from the decoded copy: the wire must be as
-  // invisible as the in-memory snapshot path mon_snapshot_test locks.
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) < c << i, true)", ab);
-  const mon::CompiledProperty compiled =
-      mon::CompiledProperty::compile(p, ab, {});
-  auto source = compiled.instantiate();
-  auto restored = compiled.instantiate();
-  support::Rng rng = support::Rng::stream(0xABBA, 9);
-  spec::Trace t = fuzz_trace(ab, rng, 40);
-
-  std::vector<std::uint8_t> bytes;
-  Encoder enc;
-  mon::Snapshot snap;
-  mon::Snapshot decoded;
-  for (std::size_t cut = 0; cut < t.size(); cut += 7) {
-    for (std::size_t i = 0; i < cut; ++i) {
-      source->observe(t[i].name, t[i].time);
-    }
-    source->snapshot(snap);  // buffer reuse across cuts on both sides
-    enc.clear();
-    encode_snapshot(enc, snap);
-    Frame frame;
-    frame_and_parse(enc, Payload::Snapshot, bytes, frame);
-    Decoder d(frame.data, frame.size);
-    ASSERT_TRUE(decode_snapshot(d, decoded)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    ASSERT_EQ(decoded.word_count(), snap.word_count());
-    restored->restore(decoded);
-    // The restored monitor continues exactly like the original.
-    for (std::size_t i = cut; i < t.size(); ++i) {
-      source->observe(t[i].name, t[i].time);
-      restored->observe(t[i].name, t[i].time);
-    }
-    EXPECT_EQ(restored->verdict(), source->verdict()) << "cut=" << cut;
-    EXPECT_EQ(restored->stats().ops, source->stats().ops) << "cut=" << cut;
-    source->reset();
-  }
+  const abv::CampaignOptions defaults;
+  const abv::CampaignOptions& b = back.options;
+  EXPECT_EQ(b.shard_size, defaults.shard_size);
+  EXPECT_EQ(b.workers, 0u);
+  EXPECT_TRUE(b.worker_command.empty());
+  EXPECT_EQ(b.worker_timeout_ms, defaults.worker_timeout_ms);
+  EXPECT_EQ(b.worker_retries, defaults.worker_retries);
+  EXPECT_EQ(b.allow_partial, defaults.allow_partial);
+  EXPECT_EQ(b.plan_cache, nullptr);
+  expect_options_equal(b, engine_fields_of(o), "engine options");
 }
 
 TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
   Encoder enc;
   for (std::uint64_t trial = 0; trial < 30; ++trial) {
     support::Rng rng = support::Rng::stream(0x3075 + trial, 7);
-    WorkerRequestData req;
-    for (std::uint64_t i = rng.below(10); i > 0; --i) {
-      req.names.push_back("name" + std::to_string(i));
-      req.directions.push_back(static_cast<std::uint8_t>(rng.below(3)));
-    }
-    for (std::uint64_t i = rng.below(4); i > 0; --i) {
-      req.properties.push_back("(n" + std::to_string(i) + " << i, true)");
-    }
-    req.options = fuzz_options(rng);
-    for (std::uint64_t i = rng.below(6); i > 0; --i) {
-      req.shards.push_back({rng.below(100), rng.below(4), rng.below(24),
-                            rng.below(24)});
-    }
+    const std::string what = "trial " + std::to_string(trial);
+    const WorkerRequestData req = fuzz_request(rng);
     enc.clear();
     encode_worker_request(enc, req);
     WorkerRequestData back;
@@ -392,8 +342,8 @@ TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
     EXPECT_EQ(back.names, req.names);
     EXPECT_EQ(back.directions, req.directions);
     EXPECT_EQ(back.properties, req.properties);
-    const std::string what = "trial " + std::to_string(trial);
-    expect_options_equal(back.options, req.options, what.c_str());
+    expect_options_equal(back.options, engine_fields_of(req.options),
+                         what.c_str());
     ASSERT_EQ(back.shards.size(), req.shards.size());
     for (std::size_t i = 0; i < req.shards.size(); ++i) {
       EXPECT_EQ(back.shards[i].shard, req.shards[i].shard);
@@ -402,30 +352,9 @@ TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
       EXPECT_EQ(back.shards[i].unit_end, req.shards[i].unit_end);
     }
 
-    WorkerPartialData part;
-    part.shard = rng.below(100);
-    part.job = rng.below(4);
-    part.partial = fuzz_result(rng);
-    part.alphabet_seen.assign(rng.below(70), false);
-    for (std::size_t i = 0; i < part.alphabet_seen.size(); ++i) {
-      part.alphabet_seen[i] = rng.below(2) != 0;
-    }
-    part.has_recognizer = rng.below(2) != 0;
-    if (part.has_recognizer) {
-      for (std::uint64_t f = rng.below(3); f > 0; --f) {
-        std::vector<abv::RecognizerCoverage::RangeCov> frag;
-        for (std::uint64_t r = rng.below(3); r > 0; --r) {
-          abv::RecognizerCoverage::RangeCov row;
-          row.name = static_cast<spec::Name>(rng.below(10));
-          row.state_mask = static_cast<std::uint8_t>(rng.below(64));
-          row.max_count = static_cast<std::uint32_t>(rng.below(20));
-          row.lo = static_cast<std::uint32_t>(1 + rng.below(4));
-          row.hi = row.lo + static_cast<std::uint32_t>(rng.below(4));
-          frag.push_back(row);
-        }
-        part.recognizer_rows.push_back(frag);
-      }
-    }
+    // fuzz_result also sets the fields a shard never does: they must be
+    // dropped, not shipped.
+    const WorkerPartialData part = fuzz_partial(rng);
     enc.clear();
     encode_worker_partial(enc, part);
     WorkerPartialData pback;
@@ -434,7 +363,8 @@ TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
     EXPECT_TRUE(pd.exhausted());
     EXPECT_EQ(pback.shard, part.shard);
     EXPECT_EQ(pback.job, part.job);
-    expect_results_bitwise_equal(pback.partial, part.partial, what.c_str());
+    expect_results_equal(pback.partial, shard_fields_of(part.partial),
+                         what.c_str());
     EXPECT_EQ(pback.alphabet_seen, part.alphabet_seen);
     EXPECT_EQ(pback.has_recognizer, part.has_recognizer);
     ASSERT_EQ(pback.recognizer_rows.size(), part.recognizer_rows.size());
@@ -478,12 +408,12 @@ TEST(WireRoundTrip, EncoderClearKeepsCapacityLikeSnapshot) {
   // re-encoding payloads of no larger size must not grow the buffer.
   Encoder enc;
   support::Rng rng = support::Rng::stream(0xCAFE, 1);
-  const abv::CampaignResult r = fuzz_result(rng);
-  encode_result(enc, r);
+  const WorkerPartialData part = fuzz_partial(rng);
+  encode_worker_partial(enc, part);
   const std::size_t warm = enc.bytes().capacity();
   for (int i = 0; i < 100; ++i) {
     enc.clear();
-    encode_result(enc, r);
+    encode_worker_partial(enc, part);
     EXPECT_EQ(enc.bytes().capacity(), warm) << "iteration " << i;
   }
 }
@@ -491,24 +421,20 @@ TEST(WireRoundTrip, EncoderClearKeepsCapacityLikeSnapshot) {
 TEST(WireRoundTrip, MultipleFramesConcatenateAndStreamBack) {
   // Frames are a stream format: several in one buffer parse back in order,
   // each consuming exactly its own bytes.
-  spec::Alphabet ab;
   support::Rng rng = support::Rng::stream(0xF00D, 2);
-  const spec::Trace t = fuzz_trace(ab, rng, 30);
-  const abv::CampaignOptions o = fuzz_options(rng);
-
   std::vector<std::uint8_t> stream;
   Encoder enc;
-  encode_trace(enc, t, ab);
-  write_frame(stream, Payload::Trace, enc);
+  encode_worker_request(enc, fuzz_request(rng));
+  write_frame(stream, Payload::WorkerRequest, enc);
   enc.clear();
-  encode_options(enc, o);
-  write_frame(stream, Payload::Options, enc);
+  encode_worker_partial(enc, fuzz_partial(rng));
+  write_frame(stream, Payload::WorkerPartial, enc);
   enc.clear();
   encode_worker_done(enc, 42);
   write_frame(stream, Payload::WorkerDone, enc);
 
   std::size_t offset = 0;
-  const Payload expected[] = {Payload::Trace, Payload::Options,
+  const Payload expected[] = {Payload::WorkerRequest, Payload::WorkerPartial,
                               Payload::WorkerDone};
   for (const Payload tag : expected) {
     Frame frame;

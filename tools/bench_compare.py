@@ -25,9 +25,13 @@ CampaignResult::diagnostic_counters() and the bench binaries):
                   wall time).
 
 A fingerprint mismatch (cpu count, build type, pinned min_time) means the
-two runs are not comparable: the gate prints a skip annotation and exits 0
-(or 1 under --strict-fingerprint).  Exit status: 0 pass/skip, 1 regression
-or coverage loss, 2 usage error.
+two runs' wall times and allocation counts are not comparable: those
+metrics are skipped with an annotation.  Everything that does not depend
+on the machine still gates — the ratio, exact-ratio and semantic counters
+and the missing-benchmark / vanished-counter checks — so a mismatched run
+still exits 1 on a backend flip or a lost benchmark, and 0 otherwise (or
+1 under --strict-fingerprint).  Exit status: 0 pass, 1 regression or
+coverage loss, 2 usage error.
 """
 
 import argparse
@@ -44,6 +48,9 @@ RATIO_ABS_TOL = 0.02
 INFORMATIONAL = {"checkpoint_hits", "events_skipped", "lane_waves",
                  "mon_events_per_s", "speedup"}
 SEMANTIC = {"backend_viapsl", "backend_vm"}
+# The policies whose numbers depend on the machine and build: the only
+# ones a fingerprint mismatch skips.
+MACHINE_DEPENDENT = {"wall", "alloc"}
 
 
 def classify(name):
@@ -131,16 +138,20 @@ def main():
     fresh_fp = fresh_doc.get("fingerprint", {})
     mismatched = [k for k in FINGERPRINT_KEYS
                   if base_fp.get(k) != fresh_fp.get(k)]
+    skipped = set()
     if mismatched:
         detail = ", ".join(
             f"{k}: {base_fp.get(k)!r} vs {fresh_fp.get(k)!r}"
             for k in mismatched)
-        print(f"**SKIP** — fingerprint mismatch ({detail}); "
-              "runs are not comparable.")
+        print(f"**SKIP** wall and alloc metrics — fingerprint mismatch "
+              f"({detail}); ratio, semantic and coverage checks still "
+              "gate.\n")
         if os.environ.get("GITHUB_ACTIONS"):
-            print(f"::notice title=bench-gate skipped::"
+            print(f"::notice title=bench-gate wall/alloc skipped::"
                   f"fingerprint mismatch: {detail}")
-        sys.exit(1 if args.strict_fingerprint else 0)
+        if args.strict_fingerprint:
+            sys.exit(1)
+        skipped = MACHINE_DEPENDENT
 
     base_by_name = {b["name"]: b for b in base_doc["benchmarks"]}
     fresh_by_name = {b["name"]: b for b in fresh_doc["benchmarks"]}
@@ -156,6 +167,8 @@ def main():
         metrics = [("real_time_ns", base["real_time_ns"],
                     fresh["real_time_ns"])]
         for key, base_value in base["counters"].items():
+            if classify(key) in skipped:
+                continue
             if key in fresh["counters"]:
                 metrics.append((key, base_value, fresh["counters"][key]))
             else:
@@ -163,6 +176,8 @@ def main():
                                 "the fresh run")
         for key, base_value, fresh_value in metrics:
             policy = classify(key)
+            if policy in skipped:
+                continue
             status, detail = judge(policy, base_value, fresh_value,
                                    args.wall_tolerance)
             if status == "FAIL":

@@ -6,8 +6,12 @@ fixture pairs in tools/testdata/bench_compare/ — one per gate verdict:
   fresh_wall_regress         +60% wall on one benchmark        -> exit 1
   fresh_counter_regress      allocs/mutant up, skip_ratio down -> exit 1
   fresh_lane_occupancy_drop  lane_occupancy down > 0.02        -> exit 1
-  fresh_fingerprint_mismatch different cpu count               -> exit 0 skip
+  fresh_fingerprint_mismatch different cpu count, other wall
+                             times and allocs (both skip)      -> exit 0
                              (exit 1 under --strict-fingerprint)
+  fresh_fingerprint_backend_flip
+                             different cpu count + backend_vm
+                             flip (semantic still gates)       -> exit 1
   fresh_missing_benchmark    baseline coverage lost            -> exit 1
 
 Registered in ctest (tools_bench_compare_selftest) and run by the CI
@@ -73,11 +77,23 @@ class BenchCompareGate(unittest.TestCase):
                            "--wall-tolerance", "10.0")
         self.assertEqual(proc.returncode, 1, proc.stdout)
 
-    def test_fingerprint_mismatch_skips(self):
+    def test_fingerprint_mismatch_skips_wall_and_alloc(self):
+        # The fixture's wall times are 4x faster and one allocs/unit is
+        # far above tolerance: both are machine-dependent, so both skip.
         proc = run_compare("fresh_fingerprint_mismatch.json")
         self.assertEqual(proc.returncode, 0, proc.stdout)
         self.assertIn("SKIP", proc.stdout)
         self.assertIn("num_cpus", proc.stdout)
+        self.assertIn("No regressions", proc.stdout)
+
+    def test_fingerprint_mismatch_still_gates_backend_flip(self):
+        # A backend flip is never a machine difference: the semantic
+        # counters gate even when the fingerprints differ.
+        proc = run_compare("fresh_fingerprint_backend_flip.json")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("SKIP", proc.stdout)
+        self.assertIn("backend_vm", proc.stdout)
+        self.assertIn("REGRESSIONS", proc.stdout)
 
     def test_fingerprint_mismatch_fails_when_strict(self):
         proc = run_compare("fresh_fingerprint_mismatch.json",
