@@ -1,17 +1,19 @@
 // The wire codec's identity half: decode(encode(x)) reproduces every
-// field a worker payload carries — on handcrafted and on seeded-RNG
-// fuzzed values (campaign_lane_diff_test.cpp sends real campaign results
-// through the partial codec) — and leaves every field it does not carry
-// at its default.  This is the contract the sixth
+// field a worker payload carries — on handcrafted values, on seeded-RNG
+// fuzzed values and on results the engine actually produced (as does
+// campaign_lane_diff_test.cpp for waved results) — and leaves every field
+// it does not carry at its default.  This is the contract the sixth
 // engine invariant (in-process ≡ cross-process campaigns) rides on; the
 // rejection half lives in wire_fuzz_test.cpp.  Also locks the buffer-reuse
 // discipline: one Encoder serves many frames without growing.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "abv/campaign.hpp"
+#include "spec/ast.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 #include "wire/payload.hpp"
@@ -122,6 +124,21 @@ abv::CampaignResult shard_fields_of(const abv::CampaignResult& r) {
   s.worker_retries = defaults.worker_retries;
   s.shard_failures.clear();
   return s;
+}
+
+// Puts back into a decoded partial what run_campaigns fills in itself —
+// exactly the fields shard_fields_of resets — taking them from `from`.
+void refill_parent_fields(abv::CampaignResult& r,
+                          const abv::CampaignResult& from) {
+  r.alphabet_coverage = from.alphabet_coverage;
+  r.recognizer_state_coverage = from.recognizer_state_coverage;
+  const std::uint64_t stamped = r.compile_stats.instances_stamped;
+  const std::uint64_t reuses = r.compile_stats.instance_reuses;
+  r.compile_stats = from.compile_stats;
+  r.compile_stats.instances_stamped = stamped;
+  r.compile_stats.instance_reuses = reuses;
+  r.worker_retries = from.worker_retries;
+  r.shard_failures = from.shard_failures;
 }
 
 void expect_options_equal(const abv::CampaignOptions& a,
@@ -325,6 +342,148 @@ TEST(WireRoundTrip, RequestCarriesEngineOptionsAndDefaultsTheSupervisorOnes) {
   EXPECT_EQ(b.allow_partial, defaults.allow_partial);
   EXPECT_EQ(b.plan_cache, nullptr);
   expect_options_equal(b, engine_fields_of(o), "engine options");
+}
+
+TEST(WireRoundTrip, OptionsSurviveFuzzed) {
+  // The options codec is private to the request: fuzzed options, framed
+  // inside a request, come back as their engine fields — every
+  // supervisor-only option and the borrowed plan_cache at their defaults.
+  std::vector<std::uint8_t> bytes;
+  Encoder enc;
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    support::Rng rng = support::Rng::stream(0x0F75 + trial, 3);
+    WorkerRequestData req;
+    req.options = fuzz_options(rng);
+    enc.clear();
+    encode_worker_request(enc, req);
+    Frame frame;
+    frame_and_parse(enc, Payload::WorkerRequest, bytes, frame);
+    WorkerRequestData back;
+    Decoder d(frame.data, frame.size);
+    ASSERT_TRUE(decode_worker_request(d, back)) << d.error().to_string();
+    EXPECT_TRUE(d.exhausted());
+    const std::string what = "trial " + std::to_string(trial);
+    expect_options_equal(back.options, engine_fields_of(req.options),
+                         what.c_str());
+  }
+}
+
+TEST(WireRoundTrip, ResultsSurviveFuzzed) {
+  // The result codec is private to the partial: a fuzzed result, framed
+  // inside a partial, keeps every counter a shard sets; refilling the
+  // fields run_campaigns owns reproduces the original.
+  std::vector<std::uint8_t> bytes;
+  Encoder enc;
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    support::Rng rng = support::Rng::stream(0x4E54 + trial, 5);
+    WorkerPartialData part;
+    part.partial = fuzz_result(rng);
+    enc.clear();
+    encode_worker_partial(enc, part);
+    Frame frame;
+    frame_and_parse(enc, Payload::WorkerPartial, bytes, frame);
+    WorkerPartialData back;
+    Decoder d(frame.data, frame.size);
+    ASSERT_TRUE(decode_worker_partial(d, back)) << d.error().to_string();
+    EXPECT_TRUE(d.exhausted());
+    const std::string what = "trial " + std::to_string(trial);
+    expect_results_equal(back.partial, shard_fields_of(part.partial),
+                         what.c_str());
+    refill_parent_fields(back.partial, part.partial);
+    expect_results_equal(back.partial, part.partial, what.c_str());
+  }
+}
+
+TEST(WireRoundTrip, ARealCampaignResultSurvivesWithIdenticalReport) {
+  // Not just fuzzed field soup: a result the engine actually produced
+  // crosses as a partial, and once the parent-owned fields are refilled
+  // it matches through the same report-bytes yardstick the invariant
+  // grids use.  The Drct antecedent gives it recognizer coverage.
+  spec::Alphabet ab;
+  auto p = loom::testing::parse(
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
+  abv::CampaignOptions opt;
+  opt.seeds = 3;
+  opt.stimuli.noise_permille = 50;
+  opt.mutants_per_kind = 4;
+  const abv::CampaignResult r = abv::run_campaign(p, ab, opt);
+  ASSERT_GT(r.traces, 0u);
+
+  WorkerPartialData part;
+  part.partial = r;
+  Encoder enc;
+  encode_worker_partial(enc, part);
+  std::vector<std::uint8_t> bytes;
+  Frame frame;
+  frame_and_parse(enc, Payload::WorkerPartial, bytes, frame);
+  WorkerPartialData back;
+  Decoder d(frame.data, frame.size);
+  ASSERT_TRUE(decode_worker_partial(d, back)) << d.error().to_string();
+  EXPECT_TRUE(d.exhausted());
+  expect_results_equal(back.partial, shard_fields_of(r), "real campaign");
+  refill_parent_fields(back.partial, r);
+  expect_results_equal(back.partial, r, "real campaign");
+  EXPECT_EQ(back.partial.report(ab), r.report(ab));
+  EXPECT_EQ(back.partial.report(ab, true), r.report(ab, true));
+}
+
+TEST(WireRoundTrip, RequestReinternsTheParentAlphabetInAFreshOne) {
+  // The request is self-contained: names in id order with their
+  // directions, and each property's normalized text, rebuild the parent's
+  // interning in an empty alphabet — the same ids, directions and
+  // property texts — so plans and coverage rows agree across processes.
+  spec::Alphabet ab;
+  ab.output("zeta");
+  ab.input("alpha");
+  ab.name("mid");
+  const spec::Property props[] = {
+      loom::testing::parse("(({n1, n2}, &) < n3 << i, true)", ab),
+      loom::testing::parse("(alpha < zeta << mid, true)", ab),
+  };
+  WorkerRequestData req;
+  for (std::size_t i = 0; i < ab.size(); ++i) {
+    const spec::Name n = static_cast<spec::Name>(i);
+    req.names.push_back(ab.text(n));
+    req.directions.push_back(static_cast<std::uint8_t>(ab.direction(n)));
+  }
+  for (const auto& prop : props) {
+    req.properties.push_back(spec::to_string(prop, ab));
+  }
+
+  Encoder enc;
+  encode_worker_request(enc, req);
+  std::vector<std::uint8_t> bytes;
+  Frame frame;
+  frame_and_parse(enc, Payload::WorkerRequest, bytes, frame);
+  WorkerRequestData back;
+  Decoder d(frame.data, frame.size);
+  ASSERT_TRUE(decode_worker_request(d, back)) << d.error().to_string();
+  EXPECT_TRUE(d.exhausted());
+
+  spec::Alphabet fresh;
+  ASSERT_EQ(back.names.size(), back.directions.size());
+  for (std::size_t i = 0; i < back.names.size(); ++i) {
+    const std::string& text = back.names[i];
+    const auto dir = static_cast<spec::Direction>(back.directions[i]);
+    const spec::Name n = dir == spec::Direction::Input    ? fresh.input(text)
+                         : dir == spec::Direction::Output ? fresh.output(text)
+                                                          : fresh.name(text);
+    EXPECT_EQ(n, static_cast<spec::Name>(i)) << back.names[i];
+  }
+  ASSERT_EQ(fresh.size(), ab.size());
+  for (std::size_t i = 0; i < ab.size(); ++i) {
+    const spec::Name n = static_cast<spec::Name>(i);
+    EXPECT_EQ(fresh.text(n), ab.text(n)) << i;
+    EXPECT_EQ(fresh.direction(n), ab.direction(n)) << i;
+  }
+  ASSERT_EQ(back.properties.size(), std::size(props));
+  for (std::size_t i = 0; i < back.properties.size(); ++i) {
+    const spec::Property reparsed =
+        loom::testing::parse(back.properties[i], fresh);
+    EXPECT_EQ(spec::to_string(reparsed, fresh), spec::to_string(props[i], ab))
+        << i;
+  }
+  EXPECT_EQ(fresh.size(), ab.size()) << "re-parsing interned a new name";
 }
 
 TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
