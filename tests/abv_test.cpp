@@ -85,6 +85,67 @@ TEST(Stimuli, TimedRoundsMeetTheDeadline) {
   }
 }
 
+// FNV-1a over a trace's length and every (name, time) pair, then over the
+// next draw of the stream the generator consumed: the digest moves when
+// the output bytes or the number of Rng draws do.
+std::uint64_t stimuli_digest(const spec::Trace& t, support::Rng& rng) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(t.size());
+  for (const auto& ev : t) {
+    mix(ev.name);
+    mix(ev.time.picoseconds());
+  }
+  mix(rng.next());
+  return h;
+}
+
+// generate_valid's exact output for the four examples/parallel_campaign
+// properties × 3 seeds, under that example's stimuli options and the
+// defaults.  The names are interned lazily (no pre_intern_stimuli_names),
+// so the digest also pins when the noise names enter the alphabet.
+TEST(Stimuli, OutputBytesArePinned) {
+  const char* sources[] = {
+      "(({set_imgAddr, set_glAddr, set_glSize}, &) << start, false)",
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(p[2,3] => q[1,4] < r, 1ms)",
+      "(n << i, true)",
+  };
+  StimuliOptions noisy;
+  noisy.rounds = 5;
+  noisy.noise_permille = 100;
+  const StimuliOptions options[] = {noisy, StimuliOptions{}};
+  std::vector<std::uint64_t> got;
+  for (const StimuliOptions& opt : options) {
+    spec::Alphabet ab;
+    std::vector<spec::Property> props;
+    for (const char* s : sources) props.push_back(parse(s, ab));
+    for (const spec::Property& p : props) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        support::Rng rng = support::Rng::stream(seed, 0);
+        const spec::Trace t = generate_valid(p, ab, rng, opt);
+        got.push_back(stimuli_digest(t, rng));
+      }
+    }
+  }
+  const std::vector<std::uint64_t> want = {
+      2010653512839748853ULL, 16803701294802058806ULL, 12709042151362730824ULL,
+      9872254750158596625ULL, 1520612121309540018ULL, 4205978314149015905ULL,
+      14922466736211104346ULL, 9912195687098088099ULL, 15641140478941394651ULL,
+      12090424237475743173ULL, 15158714049390538904ULL, 16592335904722897915ULL,
+      7860371639431039547ULL, 17656238213171722880ULL, 11768593996445707502ULL,
+      13336436469124194335ULL, 5345342950765924370ULL, 5068689381114706363ULL,
+      14123644752164754378ULL, 4724575761583139598ULL, 983943145428300652ULL,
+      5264805158463651811ULL, 5162518332565397445ULL, 17984385814384716469ULL,
+  };
+  EXPECT_EQ(got, want);
+}
+
 class MutationDetection
     : public ::testing::TestWithParam<MutationKind> {};
 
