@@ -53,7 +53,7 @@ void AntecedentMonitor::observe(spec::Name name, sim::Time time) {
       break;
     case OrderingRecognizer::Out::Err:
       verdict_ = Verdict::Violated;
-      violation_ = Violation{ordinal, time, name, recognizer_.error_reason()};
+      violation_ = Violation{ordinal, time, name, recognizer_.error()};
       break;
   }
   stats_.end_event(before);

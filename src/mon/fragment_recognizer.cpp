@@ -8,7 +8,7 @@ void FragmentRecognizer::snapshot(Snapshot& out) const {
   out.put_bool(min_complete_);
   out.put_bool(in_progress_);
   out.put_time(min_complete_time_);
-  out.put_string(error_reason_);
+  snapshot_reason(out, error_);
   for (const auto& c : children_) c.snapshot(out);
 }
 
@@ -16,7 +16,7 @@ void FragmentRecognizer::restore(SnapshotReader& in) {
   min_complete_ = in.boolean();
   in_progress_ = in.boolean();
   min_complete_time_ = in.time();
-  in.string_into(error_reason_);
+  restore_reason(in, error_);
   for (auto& c : children_) c.restore(in);
 }
 
@@ -37,7 +37,7 @@ void FragmentRecognizer::reset() {
   for (auto& c : children_) c.reset();
   min_complete_ = false;
   in_progress_ = false;
-  error_reason_.clear();
+  error_ = Reason{};
 }
 
 bool FragmentRecognizer::compute_min_complete() const {
@@ -70,7 +70,7 @@ FragmentRecognizer::Out FragmentRecognizer::step(spec::Name name,
         ++noks;
         break;
       case RangeRecognizer::Out::Err:
-        error_reason_ = c.error_reason();
+        error_ = c.error();
         return Out::Err;
     }
   }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "mon/fragment_recognizer.hpp"
@@ -42,7 +41,7 @@ class OrderingRecognizer {
   /// True when the current round consumed at least one event.
   bool in_progress() const;
 
-  const std::string& error_reason() const { return error_reason_; }
+  const Reason& error() const { return error_; }
   const spec::OrderingPlan& plan() const { return *plan_; }
 
   /// Children bits + the active-fragment index.
@@ -53,7 +52,7 @@ class OrderingRecognizer {
   MonitorStats* stats_;
   std::vector<FragmentRecognizer> fragments_;
   std::size_t active_ = 0;
-  std::string error_reason_;
+  Reason error_;
 };
 
 }  // namespace loom::mon

@@ -5,15 +5,16 @@
 namespace loom::mon {
 
 void RangeRecognizer::snapshot(Snapshot& out) const {
-  out.put_u64(static_cast<std::uint64_t>(state_));
-  out.put_u64(cpt_);
-  out.put_string(error_reason_);
+  out.put_u64(static_cast<std::uint64_t>(state_) |
+              (std::uint64_t{cpt_} << 32));
+  snapshot_reason(out, error_);
 }
 
 void RangeRecognizer::restore(SnapshotReader& in) {
-  state_ = static_cast<State>(in.u64());
-  cpt_ = static_cast<std::uint32_t>(in.u64());
-  in.string_into(error_reason_);
+  const std::uint64_t word = in.u64();
+  state_ = static_cast<State>(word & 0xFF);
+  cpt_ = static_cast<std::uint32_t>(word >> 32);
+  restore_reason(in, error_);
 }
 
 const char* to_string(RangeRecognizer::State s) {
@@ -37,13 +38,14 @@ void RangeRecognizer::start() {
 void RangeRecognizer::reset() {
   state_ = State::Idle;
   cpt_ = 0;
-  error_reason_.clear();
+  error_ = Reason{};
 }
 
-RangeRecognizer::Out RangeRecognizer::fail(std::string reason) {
+RangeRecognizer::Out RangeRecognizer::fail(MonReason code, std::uint64_t a,
+                                           std::uint64_t b) {
   stats_->add();
   state_ = State::Error;
-  error_reason_ = std::move(reason);
+  error_ = Reason{code, 0, a, b};
   return Out::Err;
 }
 
@@ -80,9 +82,9 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
         return Out::None;
       }
       if (in_ac()) {
-        return fail("fragment stopped before any of its ranges started");
+        return fail(MonReason::NeverStarted);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(MonReason::OutsideFragment);
 
     case State::WaitFirstSibling:  // s2
       if (is_n()) {
@@ -99,18 +101,15 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::Idle;
           return Out::Nok;
         }
-        return fail(
-            "conjunctive fragment stopped before one of its ranges was "
-            "observed");
+        return fail(MonReason::ConjunctUnobserved);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(MonReason::OutsideFragment);
 
     case State::Counting:  // s3
       if (is_n()) {
         stats_->add();  // bound comparison
         if (cpt_ == plan_->hi) {
-          return fail("more than v=" + std::to_string(plan_->hi) +
-                      " consecutive occurrences");
+          return fail(MonReason::AboveMax, plan_->hi);
         }
         stats_->add();
         ++cpt_;
@@ -123,8 +122,7 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::DoneSibling;
           return Out::None;
         }
-        return fail("block ended after " + std::to_string(cpt_) +
-                    " occurrences, below u=" + std::to_string(plan_->lo));
+        return fail(MonReason::BlockBelowMin, cpt_, plan_->lo);
       }
       if (in_ac()) {
         stats_->add();
@@ -133,14 +131,13 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::Idle;
           return Out::Ok;
         }
-        return fail("fragment stopped after " + std::to_string(cpt_) +
-                    " occurrences, below u=" + std::to_string(plan_->lo));
+        return fail(MonReason::FragmentStoppedBelowMin, cpt_, plan_->lo);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(MonReason::OutsideFragment);
 
     case State::DoneSibling:  // s4
       if (is_n()) {
-        return fail("range block reopened after it ended");
+        return fail(MonReason::BlockReopened);
       }
       if (in_c()) return Out::None;
       if (in_ac()) {
@@ -148,7 +145,7 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
         state_ = State::Idle;
         return Out::Ok;
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(MonReason::OutsideFragment);
 
     case State::Error:  // s5, absorbing
       return Out::Err;

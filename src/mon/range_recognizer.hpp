@@ -16,9 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
 #include "mon/stats.hpp"
+#include "mon/verdict.hpp"
 #include "spec/attributes.hpp"
 
 namespace loom::mon {
@@ -47,7 +46,7 @@ class RangeRecognizer {
 
   void reset();
 
-  /// Checkpoint support: state, counter and error reason (mon/snapshot.hpp).
+  /// Checkpoint support: state, counter and error (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
 
@@ -65,8 +64,8 @@ class RangeRecognizer {
     return state_ == State::Counting || state_ == State::DoneSibling;
   }
 
-  /// Explanation of the last Err output.
-  const std::string& error_reason() const { return error_reason_; }
+  /// Why the last Err output happened (empty before any).
+  const Reason& error() const { return error_; }
 
   /// State bits: 3 (state encoding) + ceil(log2(v+1)) (the counter cpt).
   std::size_t space_bits() const {
@@ -74,13 +73,13 @@ class RangeRecognizer {
   }
 
  private:
-  Out fail(std::string reason);
+  Out fail(MonReason code, std::uint64_t a = 0, std::uint64_t b = 0);
 
   const spec::RangePlan* plan_;
   MonitorStats* stats_;
   State state_ = State::Idle;
   std::uint32_t cpt_ = 0;
-  std::string error_reason_;
+  Reason error_;
 };
 
 const char* to_string(RangeRecognizer::State s);

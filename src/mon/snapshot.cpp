@@ -18,15 +18,6 @@ void check_snapshot_tag(std::uint64_t word, std::uint32_t kind,
   }
 }
 
-void Snapshot::put_string(const std::string& s) {
-  if (strings_used_ == strings_.size()) {
-    strings_.emplace_back(s);
-  } else {
-    strings_[strings_used_] = s;  // slot reuse: capacity survives clear()
-  }
-  ++strings_used_;
-}
-
 void Snapshot::put_bits(const std::vector<bool>& bits) {
   put_u64(bits.size());
   std::uint64_t word = 0;
@@ -55,15 +46,6 @@ std::uint64_t SnapshotReader::u64() {
   return snap_->words_[word_++];
 }
 
-void SnapshotReader::string_into(std::string& out) {
-  if (str_ >= snap_->strings_used_) {
-    throw std::logic_error(
-        "SnapshotReader: read past the snapshot's string pool (truncated "
-        "or foreign format)");
-  }
-  out = snap_->strings_[str_++];
-}
-
 void SnapshotReader::bits_into(std::vector<bool>& out) {
   const std::size_t n = static_cast<std::size_t>(u64());
   // Validate the payload before sizing `out`: a garbage length word from a
@@ -83,7 +65,7 @@ void SnapshotReader::bits_into(std::vector<bool>& out) {
 }
 
 bool SnapshotReader::exhausted() const {
-  return word_ == snap_->words_.size() && str_ == snap_->strings_used_;
+  return word_ == snap_->words_.size();
 }
 
 }  // namespace loom::mon

@@ -3,7 +3,8 @@
 //!
 //! A Snapshot captures the complete mutable state of one monitor instance —
 //! recognizer automata, Figure-6 stats, verdict, violation, timing
-//! registers — as a flat sequence of 64-bit words plus a small string pool.
+//! registers — as a flat sequence of 64-bit words (violation and error
+//! reasons are stored as codes plus operands, mon/verdict.hpp).
 //! Writers append in a fixed order (Monitor::snapshot); SnapshotReader
 //! replays the same order (Monitor::restore).  The contract every
 //! implementation keeps, locked by tests/mon_snapshot_test.cpp:
@@ -13,9 +14,8 @@
 //!   uninterrupted run (verdict, violation, stats and space accounting).
 //!
 //! Ownership: the caller owns the Snapshot; one buffer may be reused across
-//! any number of snapshot() calls (clear() keeps the word vector's and the
-//! string slots' capacity, so a warmed buffer re-snapshots without heap
-//! traffic).  A Snapshot written by one monitor may only be restored into a
+//! any number of snapshot() calls (clear() keeps the word vector's
+//! capacity, so a warmed buffer re-snapshots without heap traffic).  A Snapshot written by one monitor may only be restored into a
 //! monitor of the same kind stamped from the same plan — each monitor tags
 //! its format and restore() rejects a foreign tag.
 //! Thread-safety: a Snapshot is a plain value; concurrent readers are fine
@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -36,9 +35,10 @@ class SnapshotReader;
 
 /// Snapshot format version, stamped into the high half of every monitor's
 /// tag word.  Bump on any layout change to a monitor's snapshot order; a
-/// restore (or wire decode) of a snapshot from a different version rejects
-/// with a clear diagnostic instead of misreading the words.
-constexpr std::uint32_t kSnapshotVersion = 1;
+/// restore of a snapshot from a different version rejects with a clear
+/// diagnostic instead of misreading the words.  Version 2 stores reasons
+/// as codes and packs each range's state and counter into one word.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// The tag word each monitor writes first: (version << 32) | kind, where
 /// `kind` is the monitor's four-byte ASCII constant (e.g. "ANTC").
@@ -62,33 +62,22 @@ void check_snapshot_tag(std::uint64_t word, std::uint32_t kind,
 
 class Snapshot {
  public:
-  /// Forgets the content, keeps every capacity (words and string slots):
-  /// the reuse entry point for pooled snapshot buffers.
-  void clear() {
-    words_.clear();
-    strings_used_ = 0;
-  }
+  /// Forgets the content, keeps the capacity: the reuse entry point for
+  /// pooled snapshot buffers.
+  void clear() { words_.clear(); }
 
-  bool empty() const { return words_.empty() && strings_used_ == 0; }
+  bool empty() const { return words_.empty(); }
   std::size_t word_count() const { return words_.size(); }
 
-  /// Raw word access for the wire codec (and the version-forgery tests):
-  /// a Snapshot is semantically the word sequence plus the string pool, so
-  /// serializing one is exactly these two views.
+  /// Raw word access (the byte-identity and version-forgery tests): a
+  /// Snapshot is exactly its word sequence.
   const std::vector<std::uint64_t>& words() const { return words_; }
-  std::size_t string_count() const { return strings_used_; }
-  const std::string& string_at(std::size_t i) const { return strings_[i]; }
-  /// Overwrites one word in place (tests forge tag words with this; the
-  /// wire decoder never needs it).
+  /// Overwrites one word in place (tests forge tag words with this).
   void set_word(std::size_t i, std::uint64_t v) { words_[i] = v; }
 
   void put_u64(std::uint64_t v) { words_.push_back(v); }
   void put_bool(bool b) { words_.push_back(b ? 1 : 0); }
   void put_time(sim::Time t) { words_.push_back(t.picoseconds()); }
-  /// Strings land in a slot pool: a cleared buffer re-assigns into its old
-  /// slots, reusing their capacity (error reasons are empty on the hot
-  /// path, so this never grows in steady state).
-  void put_string(const std::string& s);
   /// Bit vector as a length word plus 64-bit packed payload (the ViaPSL
   /// armed/range-seen sets can be wide; one word per bit would not do).
   void put_bits(const std::vector<bool>& bits);
@@ -96,8 +85,6 @@ class Snapshot {
  private:
   friend class SnapshotReader;
   std::vector<std::uint64_t> words_;
-  std::vector<std::string> strings_;
-  std::size_t strings_used_ = 0;
 };
 
 /// Sequential reader over a Snapshot; reads must mirror the write order.
@@ -111,19 +98,16 @@ class SnapshotReader {
   std::uint64_t u64();
   bool boolean() { return u64() != 0; }
   sim::Time time() { return sim::Time::ps(u64()); }
-  /// Assigns into `out` (capacity-reusing; never a fresh string).
-  void string_into(std::string& out);
   /// Restores a put_bits() payload; resizes `out` only on a width change.
   void bits_into(std::vector<bool>& out);
 
-  /// True when every word and string has been consumed — restore()
+  /// True when every word has been consumed — restore()
   /// implementations end on an exhausted reader or the formats drifted.
   bool exhausted() const;
 
  private:
   const Snapshot* snap_;
   std::size_t word_ = 0;
-  std::size_t str_ = 0;
 };
 
 }  // namespace loom::mon

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -39,13 +40,58 @@ enum class Verdict {
 
 const char* to_string(Verdict v);
 
+/// Why a monitor failed: one code table shared by every backend (the Drct
+/// recognizers, the VM and ViaPSL's clause network and lexer).  A Reason
+/// carries the code plus the runtime values its text prints; the text
+/// itself is formatted only on demand (Reason::text, Violation::to_string),
+/// so reporting a violation never allocates.
+enum class MonReason : std::uint8_t {
+  None,
+  OutsideFragment,          // a name from B or Af reached the active fragment
+  NeverStarted,             // the fragment stopped before any range started
+  ConjunctUnobserved,       // a conjunctive fragment stopped with a range unseen
+  AboveMax,                 // a = v
+  BlockBelowMin,            // a = block length, b = u
+  FragmentStoppedBelowMin,  // a = block length, b = u
+  BlockReopened,
+  ConsequentLate,           // a = time taken (ps), b = bound (ps)
+  DeadlineElapsed,
+  DeadlineElapsedWatchdog,
+  ObservationEndedLate,
+  PslConjunct,              // a = clause text id (intern_reason_text)
+  LexerAboveMax,            // a = source name id, b = v
+  LexerBelowMin,            // a = source name id, b = block length, c = u
+};
+
+struct Reason {
+  MonReason code = MonReason::None;
+  std::uint32_t c = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+
+  bool empty() const { return code == MonReason::None; }
+  /// The diagnostic text ("" for None).
+  std::string text() const;
+
+  friend bool operator==(const Reason&, const Reason&) = default;
+};
+
+/// Process-wide, append-only table of the texts a code and numeric
+/// operands cannot carry (a ViaPSL clause's formula): equal texts share one
+/// id, and an id stays valid for the life of the process, so a Reason that
+/// names one outlives the monitor and the encoding that reported it.
+/// Thread-safe; both calls are cold (first violation of a clause, and
+/// formatting).
+std::uint32_t intern_reason_text(const std::string& text);
+const std::string& interned_reason_text(std::uint32_t id);
+
 struct Violation {
   /// Ordinal of the observe() call that failed (counting every observed
   /// event, including filtered ones).
   std::size_t event_ordinal = 0;
   sim::Time time;
   spec::Name name = spec::kInvalidName;
-  std::string reason;
+  Reason reason;
 
   std::string to_string(const spec::Alphabet& ab) const;
 };
@@ -101,8 +147,14 @@ class Monitor {
   virtual void restore(const Snapshot& in) = 0;
 };
 
+/// Shared snapshot encoding of a reason: one word holding the code and
+/// operand c, then operands a and b only when the code is set, so a
+/// healthy recognizer costs one word.
+void snapshot_reason(Snapshot& out, const Reason& r);
+void restore_reason(SnapshotReader& in, Reason& r);
+
 /// Shared snapshot encoding of a violation report (all monitor kinds carry
-/// one): presence flag, ordinal, time, name, reason string.
+/// one): presence flag, ordinal, time, name, reason.
 void snapshot_violation(Snapshot& out, const std::optional<Violation>& v);
 void restore_violation(SnapshotReader& in, std::optional<Violation>& v);
 

@@ -6,8 +6,8 @@
 #include "mon/snapshot.hpp"
 #include "support/diagnostics.hpp"
 
-// Any step that latches an error formats a reason string — keep that code
-// out of line so the hot automaton stays small enough to inline.
+// Steps that latch an error are rare — keep that code out of line so the
+// hot automaton stays small enough to inline.
 #if defined(__GNUC__) || defined(__clang__)
 #define LOOM_VM_COLD __attribute__((noinline, cold))
 #else
@@ -40,10 +40,10 @@ enum class FragOut : std::uint8_t { None, Ok, Err };
 // monitors execute, without a memory round-trip per charge.
 
 void vm_violate(const VmFrameRef& f, std::uint64_t ordinal, sim::Time time,
-                spec::Name name, std::string reason) {
+                spec::Name name, const Reason& reason) {
   *f.verdict = Verdict::Violated;
-  *f.violation = Violation{static_cast<std::size_t>(ordinal), time, name,
-                           std::move(reason)};
+  *f.violation =
+      Violation{static_cast<std::size_t>(ordinal), time, name, reason};
 }
 
 // --- the range automaton (RangeRecognizer::step, compiled) ----------------
@@ -51,65 +51,15 @@ void vm_violate(const VmFrameRef& f, std::uint64_t ordinal, sim::Time time,
 // but the Figure-6 accounting must not notice: every charge below equals
 // the number of tests the Drct recognizer would have evaluated for this
 // (state, class) cell plus its assignment/comparison charges, and the
-// reason strings are formatted identically.
+// error records carry the same reason codes and operands.
 
 LOOM_VM_COLD RangeOut range_fail(const VmFrameRef& f, std::uint64_t& ops,
-                                 std::uint32_t r, std::string reason) {
+                                 std::uint32_t r, MonReason code,
+                                 std::uint64_t a = 0, std::uint64_t b = 0) {
   ++ops;
   f.range_state[r] = static_cast<std::uint8_t>(RS::Error);
-  f.range_reason[r] = std::move(reason);
+  f.range_error[r] = Reason{code, 0, a, b};
   return RangeOut::Err;
-}
-
-LOOM_VM_COLD RangeOut fail_outside(const VmFrameRef& f, std::uint64_t& ops,
-                                   std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "name from outside the active fragment (B or Af)");
-}
-
-LOOM_VM_COLD RangeOut fail_never_started(const VmFrameRef& f,
-                                         std::uint64_t& ops,
-                                         std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "fragment stopped before any of its ranges started");
-}
-
-LOOM_VM_COLD RangeOut fail_conj_unobserved(const VmFrameRef& f,
-                                           std::uint64_t& ops,
-                                           std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "conjunctive fragment stopped before one of its "
-                    "ranges was observed");
-}
-
-LOOM_VM_COLD RangeOut fail_over_hi(const VmFrameRef& f, std::uint64_t& ops,
-                                   std::uint32_t r, std::uint32_t hi) {
-  return range_fail(f, ops, r,
-                    "more than v=" + std::to_string(hi) +
-                        " consecutive occurrences");
-}
-
-LOOM_VM_COLD RangeOut fail_block_below_lo(const VmFrameRef& f,
-                                          std::uint64_t& ops,
-                                          std::uint32_t r, std::uint32_t cpt,
-                                          std::uint32_t lo) {
-  return range_fail(f, ops, r,
-                    "block ended after " + std::to_string(cpt) +
-                        " occurrences, below u=" + std::to_string(lo));
-}
-
-LOOM_VM_COLD RangeOut fail_stop_below_lo(const VmFrameRef& f,
-                                         std::uint64_t& ops, std::uint32_t r,
-                                         std::uint32_t cpt,
-                                         std::uint32_t lo) {
-  return range_fail(f, ops, r,
-                    "fragment stopped after " + std::to_string(cpt) +
-                        " occurrences, below u=" + std::to_string(lo));
-}
-
-LOOM_VM_COLD RangeOut fail_reopened(const VmFrameRef& f, std::uint64_t& ops,
-                                    std::uint32_t r) {
-  return range_fail(f, ops, r, "range block reopened after it ended");
 }
 
 RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
@@ -131,10 +81,10 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
           return RangeOut::None;
         case kClassAc:
           ops += 3;  // is_n + in_c + in_ac
-          return fail_never_started(f, ops, r);
+          return range_fail(f, ops, r, MonReason::NeverStarted);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, MonReason::OutsideFragment);
       }
 
     case RS::WaitFirstSibling:  // s2
@@ -154,10 +104,10 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
             return RangeOut::Nok;
           }
-          return fail_conj_unobserved(f, ops, r);
+          return range_fail(f, ops, r, MonReason::ConjunctUnobserved);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, MonReason::OutsideFragment);
       }
 
     case RS::Counting:  // s3
@@ -165,7 +115,8 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
         case kClassN:
           ops += 2;  // is_n + bound comparison
           if (f.range_cpt[r] == p.consts_of(r).hi) {
-            return fail_over_hi(f, ops, r, p.consts_of(r).hi);
+            return range_fail(f, ops, r, MonReason::AboveMax,
+                              p.consts_of(r).hi);
           }
           ++ops;
           ++f.range_cpt[r];
@@ -177,8 +128,8 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::DoneSibling);
             return RangeOut::None;
           }
-          return fail_block_below_lo(f, ops, r, f.range_cpt[r],
-                                     p.consts_of(r).lo);
+          return range_fail(f, ops, r, MonReason::BlockBelowMin,
+                            f.range_cpt[r], p.consts_of(r).lo);
         case kClassAc:
           ops += 4;
           if (f.range_cpt[r] >= p.consts_of(r).lo) {
@@ -186,18 +137,18 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
             return RangeOut::Ok;
           }
-          return fail_stop_below_lo(f, ops, r, f.range_cpt[r],
-                                    p.consts_of(r).lo);
+          return range_fail(f, ops, r, MonReason::FragmentStoppedBelowMin,
+                            f.range_cpt[r], p.consts_of(r).lo);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, MonReason::OutsideFragment);
       }
 
     case RS::DoneSibling:  // s4
       switch (cls) {
         case kClassN:
           ++ops;
-          return fail_reopened(f, ops, r);
+          return range_fail(f, ops, r, MonReason::BlockReopened);
         case kClassC:
           ops += 2;
           return RangeOut::None;
@@ -207,10 +158,10 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
           return RangeOut::Ok;
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, MonReason::OutsideFragment);
       }
 
-    case RS::Error:  // s5, absorbing (the stored reason persists)
+    case RS::Error:  // s5, absorbing (the stored error persists)
       return RangeOut::Err;
   }
   return RangeOut::None;
@@ -298,7 +249,7 @@ void restart_chain(const VmProgram& p, const VmFrameRef& f,
   for (std::uint32_t r = 0; r < p.range_total; ++r) {
     f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
     f.range_cpt[r] = 0;
-    f.range_reason[r].clear();
+    f.range_error[r] = Reason{};
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     f.frag_min_complete[frag] = 0;
@@ -332,14 +283,6 @@ void chain_step_discarded(const VmProgram& p, const VmFrameRef& f,
 
 // --- timed bookkeeping (TimedImplicationMonitor::update_timing) -----------
 
-LOOM_VM_COLD void violate_deadline(const VmFrameRef& f, std::uint64_t ordinal,
-                                   spec::Name name, sim::Time took,
-                                   sim::Time bound) {
-  vm_violate(f, ordinal, *f.t_stop, name,
-             "consequent finished after the deadline (took " +
-                 took.to_string() + ", bound " + bound.to_string() + ")");
-}
-
 void update_timing(const VmProgram& p, const VmFrameRef& f,
                    std::uint64_t& ops, sim::Time now, std::uint64_t ordinal,
                    spec::Name name) {
@@ -360,7 +303,10 @@ void update_timing(const VmProgram& p, const VmFrameRef& f,
     *f.t_stop = f.frag_min_time[q_last];
     ops += 3;  // flag + assignment + deadline comparison
     if (*f.t_stop - *f.t_start > p.bound) {
-      violate_deadline(f, ordinal, name, *f.t_stop - *f.t_start, p.bound);
+      vm_violate(f, ordinal, *f.t_stop, name,
+                 Reason{MonReason::ConsequentLate, 0,
+                        (*f.t_stop - *f.t_start).picoseconds(),
+                        p.bound.picoseconds()});
     }
   }
 }
@@ -391,7 +337,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         ++ops;  // deadline pre-check
         if (*f.armed && !*f.q_done && time > *f.t_start + p.bound) {
           vm_violate(f, ordinal, time, name,
-                     "deadline elapsed before the consequent finished");
+                     Reason{MonReason::DeadlineElapsed});
           return ops;
         }
         ++pc;
@@ -454,9 +400,9 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         ++pc;
         break;
       case Op::LatchViolation:
-        // Copy (not move) the erring range's reason: the range keeps it,
-        // exactly like the recognizer keeps error_reason().
-        vm_violate(f, ordinal, time, name, f.range_reason[err_range]);
+        // The erring range keeps its error, exactly like the recognizer
+        // keeps error().
+        vm_violate(f, ordinal, time, name, f.range_error[err_range]);
         ++pc;
         break;
       case Op::Halt:
@@ -536,8 +482,7 @@ void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time) {
   if (*f.verdict == Verdict::Violated) return;
   if (*f.armed && !*f.q_done && end_time > *f.t_start + p.bound) {
     vm_violate(f, *f.ordinal, end_time, spec::kInvalidName,
-               "observation ended after the deadline with the consequent "
-               "unfinished");
+               Reason{MonReason::ObservationEndedLate});
     return;
   }
   // Earliest-match: a round whose consequent reached its minimum within
@@ -550,7 +495,7 @@ void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now) {
   if (*f.verdict == Verdict::Violated) return;
   if (*f.armed && !*f.q_done && now > *f.t_start + p.bound) {
     vm_violate(f, *f.ordinal, now, spec::kInvalidName,
-               "deadline elapsed before the consequent finished (watchdog)");
+               Reason{MonReason::DeadlineElapsedWatchdog});
   }
 }
 
@@ -561,7 +506,7 @@ VmMonitor::VmMonitor(std::shared_ptr<const VmProgram> program)
       range_state_(program_->range_total,
                    static_cast<std::uint8_t>(RS::Idle)),
       range_cpt_(program_->range_total, 0),
-      range_reason_(program_->range_total),
+      range_error_(program_->range_total),
       frag_min_complete_(program_->frag_count, 0),
       frag_in_progress_(program_->frag_count, 0),
       frag_min_time_(program_->frag_count),
@@ -571,7 +516,7 @@ VmMonitor::VmMonitor(std::shared_ptr<const VmProgram> program)
 
 VmFrameRef VmMonitor::make_ref() {
   return VmFrameRef{range_state_.data(), range_cpt_.data(),
-                    range_reason_.data(), frag_min_complete_.data(),
+                    range_error_.data(), frag_min_complete_.data(),
                     frag_in_progress_.data(), frag_min_time_.data(),
                     &active_, &verdict_, &violation_, &stats_,
                     &armed_, &q_done_, &t_start_, &t_stop_,
@@ -595,9 +540,8 @@ void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out) {
   f.stats->snapshot(out);
   out.put_u64(*f.active);
   for (std::uint32_t r = 0; r < p.range_total; ++r) {
-    out.put_u64(f.range_state[r]);
-    out.put_u64(f.range_cpt[r]);
-    out.put_string(f.range_reason[r]);
+    out.put_u64(f.range_state[r] | (std::uint64_t{f.range_cpt[r]} << 32));
+    snapshot_reason(out, f.range_error[r]);
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     out.put_bool(f.frag_min_complete[frag] != 0);
@@ -625,9 +569,10 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
   f.stats->restore(r);
   *f.active = static_cast<std::uint32_t>(r.u64());
   for (std::uint32_t i = 0; i < p.range_total; ++i) {
-    f.range_state[i] = static_cast<std::uint8_t>(r.u64());
-    f.range_cpt[i] = static_cast<std::uint32_t>(r.u64());
-    r.string_into(f.range_reason[i]);
+    const std::uint64_t word = r.u64();
+    f.range_state[i] = static_cast<std::uint8_t>(word & 0xFF);
+    f.range_cpt[i] = static_cast<std::uint32_t>(word >> 32);
+    restore_reason(r, f.range_error[i]);
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     f.frag_min_complete[frag] = r.boolean() ? 1 : 0;
@@ -659,7 +604,7 @@ namespace {
 
 // Rounds a per-lane row length up so each lane's row starts on a 64-byte
 // cache-line boundary in the flat lane-major arrays (element sizes here are
-// 1, 4, 8 or 32 bytes — all divide or are multiples of 64 after the
+// 1, 4, 8 or 24 bytes — all divide or are multiples of 64 after the
 // element-count rounding below, so one count-level stride serves every
 // array of the same row).
 std::size_t lane_stride(std::size_t count) {
@@ -678,7 +623,7 @@ VmLaneBatch::VmLaneBatch(std::shared_ptr<const VmProgram> program,
       range_state_(lanes * range_stride_,
                    static_cast<std::uint8_t>(RS::Idle)),
       range_cpt_(lanes * range_stride_, 0),
-      range_reason_(lanes * range_stride_),
+      range_error_(lanes * range_stride_),
       frag_min_complete_(lanes * frag_stride_, 0),
       frag_in_progress_(lanes * frag_stride_, 0),
       frag_min_time_(lanes * frag_stride_),
@@ -703,7 +648,7 @@ VmFrameRef VmLaneBatch::make_ref(std::size_t lane) {
   return VmFrameRef{
       range_state_.data() + lane * range_stride_,
       range_cpt_.data() + lane * range_stride_,
-      range_reason_.data() + lane * range_stride_,
+      range_error_.data() + lane * range_stride_,
       frag_min_complete_.data() + lane * frag_stride_,
       frag_in_progress_.data() + lane * frag_stride_,
       frag_min_time_.data() + lane * frag_stride_,

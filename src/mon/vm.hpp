@@ -12,8 +12,7 @@
 //!
 //! Bit-identity contract (tests/mon_bytecode_test.cpp): a VmMonitor is
 //! indistinguishable from the Drct monitor of the same property — verdicts,
-//! violation reports (including the formatted runtime values in the reason
-//! strings), the Figure-6 op/event/max-ops accounting and the space bits
+//! violation reports (reason codes and their runtime operands), the Figure-6 op/event/max-ops accounting and the space bits
 //! all match exactly, event for event.  That is what admits Backend::Vm
 //! into every byte-for-byte invariant grid unchanged.
 //!
@@ -24,7 +23,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mon/bytecode.hpp"
@@ -40,7 +38,7 @@ namespace loom::mon {
 struct VmFrameRef {
   std::uint8_t* range_state;    // [range_total] RangeState values
   std::uint32_t* range_cpt;     // [range_total] occurrence counters
-  std::string* range_reason;    // [range_total] sticky error reasons
+  Reason* range_error;          // [range_total] sticky range errors
   std::uint8_t* frag_min_complete;  // [frag_count]
   std::uint8_t* frag_in_progress;   // [frag_count]
   sim::Time* frag_min_time;         // [frag_count]
@@ -130,7 +128,7 @@ class VmMonitor final : public Monitor {
   std::shared_ptr<const VmProgram> program_;
   std::vector<std::uint8_t> range_state_;
   std::vector<std::uint32_t> range_cpt_;
-  std::vector<std::string> range_reason_;
+  std::vector<Reason> range_error_;
   std::vector<std::uint8_t> frag_min_complete_;
   std::vector<std::uint8_t> frag_in_progress_;
   std::vector<sim::Time> frag_min_time_;
@@ -224,7 +222,7 @@ class VmLaneBatch {
   std::size_t frag_stride_ = 0;
   std::vector<std::uint8_t> range_state_;
   std::vector<std::uint32_t> range_cpt_;
-  std::vector<std::string> range_reason_;
+  std::vector<Reason> range_error_;
   std::vector<std::uint8_t> frag_min_complete_;
   std::vector<std::uint8_t> frag_in_progress_;
   std::vector<sim::Time> frag_min_time_;

@@ -28,9 +28,24 @@ ClauseMonitor::ClauseMonitor(std::shared_ptr<const Encoding> encoding)
 }
 
 void ClauseMonitor::violate(std::size_t ordinal, sim::Time time,
-                            spec::Name name, std::string reason) {
+                            spec::Name name, const mon::Reason& reason) {
   verdict_ = mon::Verdict::Violated;
-  violation_ = mon::Violation{ordinal, time, name, std::move(reason)};
+  violation_ = mon::Violation{ordinal, time, name, reason};
+}
+
+mon::Reason ClauseMonitor::conjunct_reason(std::size_t c) {
+  auto it = clause_text_.find(c);
+  if (it == clause_text_.end()) {
+    const Clause& clause = encoding_->clauses[c];
+    it = clause_text_
+             .emplace(c, mon::intern_reason_text(
+                             std::string("PSL conjunct violated (") +
+                             to_string(clause.kind) + "): " +
+                             to_string(clause.formula,
+                                       encoding_->vocab.texts())))
+             .first;
+  }
+  return {mon::MonReason::PslConjunct, 0, it->second, 0};
 }
 
 void ClauseMonitor::reset_round() {
@@ -48,9 +63,7 @@ void ClauseMonitor::process_token(spec::Name token, sim::Time time,
   for (std::size_t c = 0; c < encoding_->clauses.size(); ++c) {
     const Clause& clause = encoding_->clauses[c];
     if (armed_[c] && clause.forbid.test(token)) {
-      violate(ordinal, time, token,
-              std::string("PSL conjunct violated (") + to_string(clause.kind) +
-                  "): " + to_string(clause.formula, encoding_->vocab.texts()));
+      violate(ordinal, time, token, conjunct_reason(c));
       return;
     }
     if (clause.arm.test(token)) armed_[c] = true;
@@ -98,9 +111,9 @@ void ClauseMonitor::process_token(spec::Name token, sim::Time time,
         q_done_ = true;
         if (time - t_start_ > encoding_->bound) {
           violate(ordinal, time, token,
-                  "consequent finished after the deadline (took " +
-                      (time - t_start_).to_string() + ", bound " +
-                      encoding_->bound.to_string() + ")");
+                  {mon::MonReason::ConsequentLate, 0,
+                   (time - t_start_).picoseconds(),
+                   encoding_->bound.picoseconds()});
           return;
         }
       }
@@ -134,15 +147,14 @@ void ClauseMonitor::observe(spec::Name name, sim::Time time) {
   }
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       time > t_start_ + encoding_->bound) {
-    violate(ordinal, time, name,
-            "deadline elapsed before the consequent finished");
+    violate(ordinal, time, name, {mon::MonReason::DeadlineElapsed});
     stats_.end_event(before);
     return;
   }
   token_buffer_.clear();
   const RleLexer::Result r = lexer_.step(name, token_buffer_);
   if (r.error) {
-    violate(ordinal, time, name, "lexer: " + r.reason);
+    violate(ordinal, time, name, r.reason);
     stats_.end_event(before);
     return;
   }
@@ -178,8 +190,7 @@ void ClauseMonitor::finish(sim::Time end_time) {
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       end_time > t_start_ + encoding_->bound) {
     violate(ordinal_, end_time, spec::kInvalidName,
-            "observation ended after the deadline with the consequent "
-            "unfinished");
+            {mon::MonReason::ObservationEndedLate});
     return;
   }
   if (encoding_->timed && q_done_) {
@@ -195,7 +206,7 @@ void ClauseMonitor::poll(sim::Time now) {
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       now > t_start_ + encoding_->bound) {
     violate(ordinal_, now, spec::kInvalidName,
-            "deadline elapsed before the consequent finished (watchdog)");
+            {mon::MonReason::DeadlineElapsedWatchdog});
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "mon/verdict.hpp"
@@ -57,7 +58,10 @@ class ClauseMonitor final : public mon::Monitor {
  private:
   void process_token(spec::Name token, sim::Time time, std::size_t ordinal);
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
-               std::string reason);
+               const mon::Reason& reason);
+  /// The PslConjunct reason of clause c, its text interned on the first
+  /// violation of that clause by this instance.
+  mon::Reason conjunct_reason(std::size_t c);
   void reset_round();
 
   std::shared_ptr<const Encoding> encoding_;
@@ -70,6 +74,7 @@ class ClauseMonitor final : public mon::Monitor {
   std::uint64_t rounds_ = 0;
   std::size_t ordinal_ = 0;
   std::vector<spec::Name> token_buffer_;
+  std::unordered_map<std::size_t, std::uint32_t> clause_text_;  // clause → id
 
   // Timed bookkeeping (token granularity).
   std::vector<std::vector<bool>> range_seen_;  // [fragment][range]

@@ -11,10 +11,10 @@
 // vocabulary.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "mon/stats.hpp"
+#include "mon/verdict.hpp"
 #include "psl/translate.hpp"
 
 namespace loom::psl {
@@ -25,7 +25,7 @@ class RleLexer {
 
   struct Result {
     bool error = false;
-    std::string reason;
+    mon::Reason reason;  // LexerAboveMax / LexerBelowMin when error
   };
 
   /// Feeds one source event (must be a source of the vocabulary); emitted

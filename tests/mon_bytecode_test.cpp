@@ -684,10 +684,6 @@ void expect_same_frame(const MonitorStats& stats, Verdict verdict,
   Snapshot want_snap;
   want.snapshot(want_snap);
   EXPECT_EQ(snap.words(), want_snap.words()) << what << " [snapshot]";
-  ASSERT_EQ(snap.string_count(), want_snap.string_count()) << what;
-  for (std::size_t i = 0; i < snap.string_count(); ++i) {
-    EXPECT_EQ(snap.string_at(i), want_snap.string_at(i)) << what;
-  }
 }
 
 void expect_same_frame(VmMonitor& got, VmMonitor& want,

@@ -62,7 +62,7 @@ TEST_P(ExhaustivePslSoundness, NoFalseAlarmsAcceptedAgreement) {
     if (psl_verdict == spec::RefVerdict::Rejected) {
       ASSERT_EQ(ref.verdict, spec::RefVerdict::Rejected)
           << GetParam() << " false alarm on [" << render(t, ab) << "]: "
-          << (m.violation() ? m.violation()->reason : "");
+          << (m.violation() ? m.violation()->reason.text() : "");
     }
     if (ref.verdict == spec::RefVerdict::Accepted) {
       ASSERT_EQ(psl_verdict, spec::RefVerdict::Accepted)
@@ -101,7 +101,7 @@ TEST_P(ExhaustiveTimed, DrctEqualsReferenceOnAllTraces) {
       ASSERT_EQ(loom::testing::as_ref(m.verdict()), ref.verdict)
           << GetParam() << " on [" << render(t, ab)
           << "] end=" << end.to_string() << " ref=" << ref.reason
-          << (m.violation() ? "\nmon=" + m.violation()->reason : "");
+          << (m.violation() ? "\nmon=" + m.violation()->reason.text() : "");
     }
   });
   EXPECT_GT(checked, 100u);

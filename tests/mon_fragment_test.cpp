@@ -50,7 +50,7 @@ TEST(FragmentRecognizer, ConjunctiveMissingRangeErrsOnStop) {
   frag.step(fx.id("b"), sim::Time::ns(2));
   EXPECT_EQ(frag.step(fx.id("i"), sim::Time::ns(3)),
             FragmentRecognizer::Out::Err);
-  EXPECT_FALSE(frag.error_reason().empty());
+  EXPECT_FALSE(frag.error().empty());
 }
 
 TEST(FragmentRecognizer, DisjunctiveMinCompleteAfterOneBlock) {

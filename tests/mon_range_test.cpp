@@ -203,7 +203,7 @@ TEST_F(RangeFixture, ErrorStateIsAbsorbing) {
     EXPECT_EQ(r.step(ev), Out::Err);
     EXPECT_EQ(r.state(), State::Error);
   }
-  EXPECT_FALSE(r.error_reason().empty());
+  EXPECT_FALSE(r.error().empty());
 }
 
 TEST_F(RangeFixture, MinReachedTracking) {
@@ -226,7 +226,7 @@ TEST_F(RangeFixture, ResetReturnsToIdle) {
   r.reset();
   EXPECT_EQ(r.state(), State::Idle);
   EXPECT_EQ(r.count(), 0u);
-  EXPECT_TRUE(r.error_reason().empty());
+  EXPECT_TRUE(r.error().empty());
 }
 
 TEST_F(RangeFixture, SpaceBitsMatchCounterWidth) {

@@ -138,5 +138,45 @@ constexpr TextCase kTexts[] = {
 };
 INSTANTIATE_TEST_SUITE_P(Triggered, MonReasonText, ::testing::ValuesIn(kTexts));
 
+// Every code's text straight from Reason::text, including ConsequentLate,
+// which Drct and Vm cannot reach (their per-event deadline check fires
+// first) and which ViaPSL reaches only at finish().
+TEST(MonReasonText, EveryCodeFormatsFromItsOperands) {
+  const std::uint32_t psl = intern_reason_text("PSL conjunct violated (x): y");
+  EXPECT_EQ(intern_reason_text("PSL conjunct violated (x): y"), psl);
+  const std::pair<Reason, const char*> rows[] = {
+      {{MonReason::None}, ""},
+      {{MonReason::OutsideFragment},
+       "name from outside the active fragment (B or Af)"},
+      {{MonReason::NeverStarted},
+       "fragment stopped before any of its ranges started"},
+      {{MonReason::ConjunctUnobserved},
+       "conjunctive fragment stopped before one of its ranges was observed"},
+      {{MonReason::AboveMax, 0, 7}, "more than v=7 consecutive occurrences"},
+      {{MonReason::BlockBelowMin, 0, 1, 3},
+       "block ended after 1 occurrences, below u=3"},
+      {{MonReason::FragmentStoppedBelowMin, 0, 2, 5},
+       "fragment stopped after 2 occurrences, below u=5"},
+      {{MonReason::BlockReopened}, "range block reopened after it ended"},
+      {{MonReason::ConsequentLate, 0, 290000, 100000},
+       "consequent finished after the deadline (took 290 ns, bound 100 ns)"},
+      {{MonReason::DeadlineElapsed},
+       "deadline elapsed before the consequent finished"},
+      {{MonReason::DeadlineElapsedWatchdog},
+       "deadline elapsed before the consequent finished (watchdog)"},
+      {{MonReason::ObservationEndedLate},
+       "observation ended after the deadline with the consequent unfinished"},
+      {{MonReason::PslConjunct, 0, psl}, "PSL conjunct violated (x): y"},
+      {{MonReason::LexerAboveMax, 0, 4, 2}, "lexer: block of '4' exceeds v=2"},
+      {{MonReason::LexerBelowMin, 3, 4, 1},
+       "lexer: block of '4' ended after 1 occurrences, below u=3"},
+  };
+  for (const auto& [reason, text] : rows) {
+    EXPECT_EQ(reason.text(), text);
+  }
+  EXPECT_EQ(std::size(rows),
+            static_cast<std::size_t>(MonReason::LexerBelowMin) + 1);
+}
+
 }  // namespace
 }  // namespace loom::mon

@@ -304,10 +304,13 @@ TEST(MonSnapshot, OneBufferServesManySnapshotsWithoutGrowth) {
     monitor->observe(ev.name, ev.time);
     monitor->snapshot(snap);
     // Same automaton, same word layout: reuse never changes the format.
-    // (A present violation report appends its ordinal/time/name words; the
-    // reason string lands in the reusable string pool.)
+    // A violation appends twelve words: the report's ordinal/time/name,
+    // its reason (code word + two operands), and the sticky error of the
+    // erring range, its fragment and the ordering (code word + two
+    // operands each).  An error is only ever set together with the
+    // violation that retires the monitor.
     const std::size_t expected =
-        fresh_words + (monitor->violation().has_value() ? 3u : 0u);
+        fresh_words + (monitor->violation().has_value() ? 12u : 0u);
     EXPECT_EQ(snap.word_count(), expected);
   }
 }
@@ -315,8 +318,10 @@ TEST(MonSnapshot, OneBufferServesManySnapshotsWithoutGrowth) {
 TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
   // Same lockdown for the bytecode VM frame: its flat word layout is a
   // pure function of the program shape, so reusing one buffer across a
-  // whole fuzzed run never changes the count except for the violation
-  // report's three appended words.
+  // whole fuzzed run never changes the count except for the eight words a
+  // violation appends: the report's ordinal/time/name, its reason's two
+  // operands and the erring range's two (each reason's code word is
+  // always written).
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
@@ -336,7 +341,7 @@ TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
     monitor->observe(ev.name, ev.time);
     monitor->snapshot(snap);
     const std::size_t expected =
-        fresh_words + (monitor->violation().has_value() ? 3u : 0u);
+        fresh_words + (monitor->violation().has_value() ? 8u : 0u);
     EXPECT_EQ(snap.word_count(), expected);
   }
 }
@@ -380,9 +385,9 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
       FAIL() << kind.label << ": future-version snapshot was accepted";
     } catch (const std::logic_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("snapshot format version 2"), std::string::npos)
+      EXPECT_NE(what.find("snapshot format version 3"), std::string::npos)
           << kind.label << ": " << what;
-      EXPECT_NE(what.find("reads version 1"), std::string::npos)
+      EXPECT_NE(what.find("reads version 2"), std::string::npos)
           << kind.label << ": " << what;
     }
   }
