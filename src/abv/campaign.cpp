@@ -44,20 +44,35 @@ sim::Time end_of(const spec::Trace& t) {
   return t.empty() ? sim::Time::zero() : t.back().time;
 }
 
-// One per-seed cache entry: the valid trace plus — unless checkpoint_stride
-// is 0 — the checkpoint ladder recorded while a throwaway monitor and a
-// reference cursor walk that trace exactly once.  checkpoints[k] is the
-// monitor state and oracle_rungs[k] the oracle state after the first
-// (k+1)*stride events; a mutant whose divergence position p admits a floor
-// rung resumes both from rung p/stride - 1 and walks only the suffix.  The
-// ladder is a pure function of (property, seed, options), so it is
-// deterministic no matter which unit's lookup builds it, and read-only
-// once published.
-struct CachedSeedTrace {
+// One per-seed cache entry, built by a single walk over the seed's valid
+// trace: a throwaway monitor of the chosen backend and a reference cursor
+// observe the trace once, recording
+//   - unless checkpoint_stride is 0, the checkpoint ladder: checkpoints[k]
+//     is the monitor state and oracle_rungs[k] the oracle state after the
+//     first (k+1)*stride events; a mutant whose divergence position p
+//     admits a floor rung resumes both from rung p/stride - 1 and walks
+//     only the suffix;
+//   - the valid phase's outcome: both verdicts, the monitor's Figure-6
+//     stats, the alphabet names the trace hit, the Drct recognizer
+//     coverage and, under check_viapsl, the ViaPSL cross-check.
+// The entry is a pure function of (property, seed, options) — reset ≡
+// fresh makes the walking instance irrelevant — so it is deterministic no
+// matter which unit's lookup builds it, and read-only once published.
+struct SeedEntry {
   spec::Trace trace;
   std::vector<mon::Snapshot> checkpoints;
   std::vector<spec::RefCursor> oracle_rungs;  // parallel to checkpoints
   std::size_t stride = 0;  // 0: no ladder (checkpoint_stride 0)
+
+  bool monitor_violated = false;
+  bool oracle_rejected = false;
+  mon::MonitorStats stats;
+  spec::NameSet seen;  // the property-alphabet names the trace contains
+  // Drct antecedents only (a ViaPSL or Vm monitor has no recognizer
+  // structure to sample); detached.
+  std::optional<RecognizerCoverage> recognizer;
+  bool viapsl_violated = false;  // check_viapsl only
+  mon::MonitorStats viapsl_stats;
 };
 
 // Where a trace sharing its first `position` events with the valid trace
@@ -69,7 +84,7 @@ struct FloorRung {
   std::size_t begin = 0;  // first event the rung does not cover
 };
 
-FloorRung floor_rung(const CachedSeedTrace* ladder, std::size_t position) {
+FloorRung floor_rung(const SeedEntry* ladder, std::size_t position) {
   if (ladder == nullptr) return {};
   const std::size_t rungs =
       std::min(position / ladder->stride, ladder->checkpoints.size());
@@ -78,11 +93,11 @@ FloorRung floor_rung(const CachedSeedTrace* ladder, std::size_t position) {
           rungs * ladder->stride};
 }
 
-// Per-seed valid-trace cache shared by every worker of one run_campaigns()
-// call: keyed by (job, seed) so batch runs over several properties never
-// alias, generated on first touch by whichever of the seed's six units gets
-// there first.
-using SeedTraceCache = support::TraceCache<CachedSeedTrace>;
+// Per-seed entry cache shared by every worker of one run_campaigns() call:
+// keyed by (job, seed) so batch runs over several properties never alias,
+// built on first touch by whichever of the seed's six units gets there
+// first.
+using SeedEntryCache = support::TraceCache<SeedEntry>;
 
 // Accumulator local to one shard; merged into the campaign result in shard
 // index order after the pool drains.
@@ -133,17 +148,36 @@ struct UnitScratch {
   std::vector<const mon::Snapshot*> lane_rungs;
 
   // The reference oracle's working cursor: bound or assigned from a ladder
-  // rung before every check, so only its buffer capacity carries over
-  // between checks (and a plan pointer left over from an earlier campaign
-  // is never read).
+  // rung before every check and every seed-entry build, so only its buffer
+  // capacity carries over between uses (and a plan pointer left over from
+  // an earlier campaign is never read).
   spec::RefCursor oracle;
 
-  /// Drops every pooled instance; buffers keep their capacity.  Also the
-  /// end-of-shard cleanup, so nothing borrowed can dangle past the
-  /// campaign in a worker's thread-local scratch.
+  // The seed-entry build's walking instances (build_seed_entry): stamped
+  // on a shard's first build, reset for every later one.  They are never
+  // drawn, so they carry no accounting; a shard runs one job, so a stamped
+  // instance always matches the job being built.
+  std::unique_ptr<mon::Monitor> entry_monitor;  // chosen backend
+  std::unique_ptr<mon::Monitor> entry_viapsl;   // check_viapsl
+  mon::Monitor& entry_instance(std::unique_ptr<mon::Monitor>& slot,
+                               const PropertyPlan& job,
+                               mon::Backend backend) {
+    if (slot == nullptr) {
+      slot = job.compiled.instantiate(backend);
+    } else {
+      slot->reset();
+    }
+    return *slot;
+  }
+
+  /// Drops every pooled and entry instance; buffers keep their capacity.
+  /// Also the end-of-shard cleanup, so nothing borrowed can dangle past
+  /// the campaign in a worker's thread-local scratch.
   void begin_shard() {
     monitor.reset();
     viapsl.reset();
+    entry_monitor.reset();
+    entry_viapsl.reset();
   }
 };
 
@@ -179,59 +213,89 @@ spec::Trace seed_trace(const PropertyPlan& job, spec::Alphabet& ab,
   return generate_valid(*job.property, ab, rng, options.stimuli);
 }
 
-// Records the checkpoint ladder for one cached seed trace: a throwaway
-// monitor stamped from the shared plan observes the valid trace once,
-// snapshotting after every `stride` events, and a reference cursor walks
-// alongside, copied at the same rungs.  The pass is engine overhead of the
-// cache-entry build (like generation itself): its instance and Figure-6
-// stats are deliberately not accounted anywhere, so the stride cannot move
-// a semantic counter.
-void build_checkpoint_ladder(const PropertyPlan& job,
-                             const CampaignOptions& options,
-                             CachedSeedTrace& entry) {
+// Builds one seed entry (see SeedEntry) in a single walk.  The walking
+// instances are the scratch's entry slots, stamped once per shard and
+// reset per build; they are never drawn, so — like generation itself — the
+// walk is engine overhead with no instance or Figure-6 accounting of its
+// own: the valid unit merges the recorded outcome instead.
+SeedEntry build_seed_entry(const PropertyPlan& job, spec::Alphabet& ab,
+                           const CampaignOptions& options, std::size_t s,
+                           UnitScratch& scratch) {
+  const spec::Property& property = *job.property;
+  const mon::CompiledProperty& compiled = job.compiled;
+  SeedEntry entry;
+  entry.trace = seed_trace(job, ab, options, s);
+  const spec::Trace& trace = entry.trace;
+  const sim::Time end = end_of(trace);
+
+  mon::Monitor& monitor = scratch.entry_instance(scratch.entry_monitor, job,
+                                                 compiled.chosen());
+  if (property.is_antecedent() && compiled.chosen() == mon::Backend::Drct) {
+    entry.recognizer.emplace(
+        static_cast<const mon::AntecedentMonitor&>(monitor));
+  }
+  spec::RefCursor& oracle = scratch.oracle;
+  oracle.bind(property, compiled.plan());
+  std::size_t walked = 0;
+  const auto walk_to = [&](std::size_t stop) {
+    if (entry.recognizer) {
+      for (; walked < stop; ++walked) {
+        monitor.observe(trace[walked].name, trace[walked].time);
+        entry.recognizer->sample();
+      }
+    } else {
+      monitor.observe_batch(trace.data() + walked, trace.data() + stop);
+    }
+    walked = stop;
+    oracle.advance(trace, oracle.walked(), stop);
+  };
+
   entry.stride = options.checkpoint_stride;
-  const std::size_t rungs = entry.trace.size() / entry.stride;
-  if (rungs == 0) return;
-  entry.checkpoints.resize(rungs);
-  entry.oracle_rungs.reserve(rungs);
-  const std::unique_ptr<mon::Monitor> monitor =
-      job.compiled.instantiate();
-  spec::RefCursor oracle;
-  oracle.bind(*job.property, job.compiled.plan());
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < entry.trace.size(); ++i) {
-    monitor->observe(entry.trace[i].name, entry.trace[i].time);
-    if ((i + 1) % entry.stride == 0) {
-      monitor->snapshot(entry.checkpoints[next]);
-      oracle.advance(entry.trace, oracle.walked(), i + 1);
+  if (entry.stride != 0) {
+    const std::size_t rungs = trace.size() / entry.stride;
+    entry.checkpoints.resize(rungs);
+    entry.oracle_rungs.reserve(rungs);
+    for (std::size_t k = 0; k < rungs; ++k) {
+      walk_to((k + 1) * entry.stride);
+      monitor.snapshot(entry.checkpoints[k]);
       entry.oracle_rungs.push_back(oracle);
-      if (++next == rungs) break;  // ladder full; the tail has no rung
     }
   }
+  walk_to(trace.size());
+  monitor.finish(end);
+  if (entry.recognizer) entry.recognizer->detach();
+  entry.monitor_violated = monitor.verdict() == mon::Verdict::Violated;
+  entry.stats = monitor.stats();
+  entry.oracle_rejected = oracle.finish(end).rejected();
+
+  const spec::NameSet& alphabet = property.alphabet();
+  for (const auto& ev : trace) {
+    if (alphabet.test(ev.name)) entry.seen.set(ev.name);
+  }
+
+  if (options.check_viapsl) {
+    mon::Monitor& viapsl = scratch.entry_instance(scratch.entry_viapsl, job,
+                                                  mon::Backend::ViaPSL);
+    viapsl.observe_batch(trace);
+    viapsl.finish(end);
+    entry.viapsl_violated = viapsl.verdict() == mon::Verdict::Violated;
+    entry.viapsl_stats = viapsl.stats();
+  }
+  return entry;
 }
 
-// Hands out the seed's cache entry: whichever unit asks first generates the
-// valid trace — and, with a positive stride, records the checkpoint ladder
-// — then inserts; the rest hit.  The trace bytes are a pure function of
-// (first_seed + s) whoever builds them.
-const CachedSeedTrace& obtain_seed_trace(const PropertyPlan& job,
-                                         spec::Alphabet& ab,
-                                         const CampaignOptions& options,
-                                         std::size_t s, SeedTraceCache& cache,
-                                         ShardOutcome& out) {
+// Hands out the seed's cache entry: whichever unit asks first builds it
+// (build_seed_entry) and inserts; the rest hit.  The entry is a pure
+// function of (property, first_seed + s, options) whoever builds it.
+const SeedEntry& obtain_seed_entry(const PropertyPlan& job, spec::Alphabet& ab,
+                                   const CampaignOptions& options,
+                                   std::size_t s, SeedEntryCache& cache,
+                                   UnitScratch& scratch, ShardOutcome& out) {
   bool inserted = false;
   const std::uint64_t key =
       static_cast<std::uint64_t>(job.index) * options.seeds + s;
-  const CachedSeedTrace& entry = cache.get_or_emplace(
-      key,
-      [&] {
-        CachedSeedTrace fresh;
-        fresh.trace = seed_trace(job, ab, options, s);
-        if (options.checkpoint_stride > 0) {
-          build_checkpoint_ladder(job, options, fresh);
-        }
-        return fresh;
-      },
+  const SeedEntry& entry = cache.get_or_emplace(
+      key, [&] { return build_seed_entry(job, ab, options, s, scratch); },
       &inserted);
   if (inserted) {
     ++out.partial.trace_cache_misses;
@@ -257,57 +321,43 @@ bool oracle_rejects(const PropertyPlan& job, const FloorRung& resume,
   return cursor.finish(end_of(trace)).rejected();
 }
 
+// The seed's valid phase: its outcome was recorded when the seed entry was
+// built, so the unit only merges it.  It still makes its logical pool
+// draws — the chosen-backend slot, plus the ViaPSL slot under
+// check_viapsl — so the instance counters stay a function of the unit
+// layout alone; no instance is stepped, so both skip the physical reset
+// (every later user of a slot resets or restores it first).
 void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
                     const CampaignOptions& options, std::size_t s,
-                    SeedTraceCache& cache, UnitScratch& scratch,
+                    SeedEntryCache& cache, UnitScratch& scratch,
                     ShardOutcome& out) {
-  const spec::Property& property = *job.property;
-  const spec::Trace& valid =
-      obtain_seed_trace(job, ab, options, s, cache, out).trace;
+  const SeedEntry& seed =
+      obtain_seed_entry(job, ab, options, s, cache, scratch, out);
   ++out.partial.traces;
-  out.partial.events += valid.size();
+  out.partial.events += seed.trace.size();
 
-  mon::Monitor& monitor =
-      draw_pooled(scratch.monitor, job, job.compiled.chosen(), out);
-  // Recognizer-state coverage samples the Drct antecedent recognizer; a
-  // ViaPSL- or Vm-backed campaign has no such structure to sample.
-  std::optional<RecognizerCoverage> rec_cov;
-  if (property.is_antecedent() &&
-      job.compiled.chosen() == mon::Backend::Drct) {
-    rec_cov.emplace(static_cast<const mon::AntecedentMonitor&>(monitor));
-  }
-  for (const auto& ev : valid) {
-    monitor.observe(ev.name, ev.time);
-    out.alphabet->record(ev.name);
-    if (rec_cov) rec_cov->sample();
-  }
-  monitor.finish(end_of(valid));
-  if (rec_cov) {
-    rec_cov->detach();  // outlives this unit's monitor from here on
+  draw_pooled(scratch.monitor, job, job.compiled.chosen(), out,
+              /*skip_reset=*/true);
+  out.alphabet->merge_seen(seed.seen);
+  if (seed.recognizer) {
     if (out.recognizer) {
-      out.recognizer->merge(*rec_cov);
+      out.recognizer->merge(*seed.recognizer);
     } else {
-      out.recognizer.emplace(std::move(*rec_cov));
+      out.recognizer.emplace(*seed.recognizer);
     }
   }
-
-  const bool ref_rejected = oracle_rejects(job, {}, valid, scratch.oracle);
-  const bool monitor_ok = monitor.verdict() != mon::Verdict::Violated;
-  if (monitor_ok && !ref_rejected) ++out.partial.valid_accepted;
-  if (monitor_ok == ref_rejected) ++out.partial.oracle_disagreements;
-  out.partial.monitor_stats.merge(monitor.stats());
+  const bool monitor_ok = !seed.monitor_violated;
+  if (monitor_ok && !seed.oracle_rejected) ++out.partial.valid_accepted;
+  if (monitor_ok == seed.oracle_rejected) ++out.partial.oracle_disagreements;
+  out.partial.monitor_stats.merge(seed.stats);
 
   if (options.check_viapsl) {
-    // The cross-check instantiates from the shared clause set, pooled per
-    // shard like the chosen-backend monitor.
-    mon::Monitor& viapsl =
-        draw_pooled(scratch.viapsl, job, mon::Backend::ViaPSL, out);
-    for (const auto& ev : valid) viapsl.observe(ev.name, ev.time);
-    viapsl.finish(end_of(valid));
-    if (!ref_rejected && viapsl.verdict() == mon::Verdict::Violated) {
+    draw_pooled(scratch.viapsl, job, mon::Backend::ViaPSL, out,
+                /*skip_reset=*/true);
+    if (!seed.oracle_rejected && seed.viapsl_violated) {
       ++out.partial.viapsl_false_alarms;
     }
-    out.partial.monitor_stats.merge(viapsl.stats());
+    out.partial.monitor_stats.merge(seed.viapsl_stats);
   }
 }
 
@@ -337,17 +387,17 @@ void run_valid_unit(const PropertyPlan& job, spec::Alphabet& ab,
 // depends on the lane width.
 void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
                        const CampaignOptions& options, std::size_t s,
-                       std::size_t slot, SeedTraceCache& cache,
+                       std::size_t slot, SeedEntryCache& cache,
                        UnitScratch& scratch, ShardOutcome& out) {
   LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
   const spec::Property& property = *job.property;
   const mon::CompiledProperty& compiled = job.compiled;
-  const CachedSeedTrace& seed =
-      obtain_seed_trace(job, ab, options, s, cache, out);
+  const SeedEntry& seed =
+      obtain_seed_entry(job, ab, options, s, cache, scratch, out);
   const spec::Trace& valid = seed.trace;
   // Checkpoint ladder for suffix-only replay (null with a zero stride —
   // those campaigns replay every mutant in full).
-  const CachedSeedTrace* ladder = seed.stride != 0 ? &seed : nullptr;
+  const SeedEntry* ladder = seed.stride != 0 ? &seed : nullptr;
   const std::size_t k = slot - 1;
   auto& stats = out.partial.mutation[k];
   support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
@@ -456,7 +506,7 @@ void run_mutation_unit(const PropertyPlan& job, spec::Alphabet& ab,
 
 void run_shard(const std::vector<PropertyPlan>& jobs, spec::Alphabet& ab,
                const CampaignOptions& options, const Shard& shard,
-               SeedTraceCache& cache, UnitScratch& scratch,
+               SeedEntryCache& cache, UnitScratch& scratch,
                ShardOutcome& out) {
   const PropertyPlan& job = jobs[shard.job];
   // Fresh pool per shard (buffers keep their capacity): the instance
@@ -489,7 +539,7 @@ void run_shards_in_process(const std::vector<PropertyPlan>& jobs,
                            const std::vector<Shard>& shards,
                            std::size_t threads,
                            std::vector<ShardOutcome>& outcomes) {
-  SeedTraceCache cache(/*shard_count=*/4 * threads);
+  SeedEntryCache cache(/*shard_count=*/4 * threads);
   if (threads <= 1 || shards.size() <= 1) {
     UnitScratch scratch;  // one worker: the caller's thread
     for (std::size_t i = 0; i < shards.size(); ++i) {

@@ -49,6 +49,9 @@ class AlphabetCoverage {
   /// Order-independent union with another shard's coverage of the same
   /// alphabet (campaign shards each record into their own instance).
   void merge(const AlphabetCoverage& other) { seen_ |= other.seen_; }
+  /// The same union with a bare seen-set, which must be ⊆ the alphabet
+  /// (the campaign's per-seed entries keep only that set).
+  void merge_seen(const spec::NameSet& seen) { seen_ |= seen; }
   /// The observed subset (always ⊆ the alphabet): what a worker process
   /// ships over the wire — the parent replays it through record().
   const spec::NameSet& seen() const { return seen_; }
