@@ -540,21 +540,19 @@ void run_shards_in_process(const std::vector<PropertyPlan>& jobs,
                            std::size_t threads,
                            std::vector<ShardOutcome>& outcomes) {
   SeedEntryCache cache(/*shard_count=*/4 * threads);
+  // One arena per thread, reused across every shard the thread runs and,
+  // on the caller's thread, across campaigns: the buffers' capacity
+  // ratchets, while run_shard scopes the pooled instances so the scratch
+  // never outlives anything it borrows.
+  const auto run_one = [&](std::size_t i) {
+    static thread_local UnitScratch scratch;
+    run_shard(jobs, ab, options, shards[i], cache, scratch, outcomes[i]);
+  };
   if (threads <= 1 || shards.size() <= 1) {
-    UnitScratch scratch;  // one worker: the caller's thread
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      run_shard(jobs, ab, options, shards[i], cache, scratch, outcomes[i]);
-    }
+    for (std::size_t i = 0; i < shards.size(); ++i) run_one(i);
   } else {
     support::ThreadPool pool(std::min(threads, shards.size()));
-    pool.for_each_index(shards.size(), [&](std::size_t i) {
-      // One arena per worker thread, reused across every shard the worker
-      // happens to run (and across campaigns on the caller's thread): the
-      // buffers' capacity ratchets, while run_shard scopes the pooled
-      // instances so the scratch never outlives anything it borrows.
-      static thread_local UnitScratch scratch;
-      run_shard(jobs, ab, options, shards[i], cache, scratch, outcomes[i]);
-    });
+    pool.for_each_index(shards.size(), run_one);
   }
 }
 

@@ -19,13 +19,17 @@ const char* to_string(MutationKind k) {
 
 namespace {
 
-/// Copies `src` into `dst` with room for one extra event, reusing `dst`'s
-/// capacity.  Every operator below rebuilds the mutant from the source
-/// trace, so a dirty scratch from an earlier call can never leak through.
-void copy_with_headroom(const spec::Trace& src, spec::Trace& dst) {
+/// Writes `src` with `ev` inserted at index `at` into `dst` in one pass —
+/// prefix, new event, suffix — reusing `dst`'s capacity.  Like every
+/// operator below it rebuilds the mutant from the source trace, so a dirty
+/// scratch from an earlier call can never leak through.
+void insert_into(const spec::Trace& src, std::size_t at,
+                 const spec::TimedEvent& ev, spec::Trace& dst) {
   dst.clear();
   dst.reserve(src.size() + 1);
-  dst.insert(dst.end(), src.begin(), src.end());
+  dst.insert(dst.end(), src.begin(), src.begin() + static_cast<long>(at));
+  dst.push_back(ev);
+  dst.insert(dst.end(), src.begin() + static_cast<long>(at), src.end());
 }
 
 }  // namespace
@@ -65,8 +69,7 @@ bool mutate_into(const spec::Trace& trace,
       const std::size_t pos = sites[rng.below(sites.size())];
       spec::TimedEvent copy = trace[pos];
       copy.time = copy.time + sim::Time::ps(1);
-      copy_with_headroom(trace, t);
-      t.insert(t.begin() + static_cast<long>(pos) + 1, copy);
+      insert_into(trace, pos + 1, copy, t);
       // The copy lands at pos + 1, so the shared prefix extends through the
       // duplicated original — position names the insertion index, keeping
       // the "first possible divergence" contract uniform across kinds.
@@ -96,8 +99,7 @@ bool mutate_into(const spec::Trace& trace,
       if (trace.empty()) return false;
       const std::size_t pos = rng.below(trace.size());
       const spec::TimedEvent ev{reset, trace[pos].time + sim::Time::ps(1)};
-      copy_with_headroom(trace, t);
-      t.insert(t.begin() + static_cast<long>(pos) + 1, ev);
+      insert_into(trace, pos + 1, ev, t);
       out.position = pos + 1;
       return true;
     }

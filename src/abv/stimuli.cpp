@@ -1,7 +1,6 @@
 #include "abv/stimuli.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 namespace loom::abv {
@@ -11,11 +10,13 @@ using support::Rng;
 
 /// Appends the events of one fragment: a random order of blocks (all ranges
 /// under ∧, a random non-empty subset under ∨), each block a random length
-/// in [u,v].
-void emit_fragment(const spec::Fragment& f, Rng& rng,
-                   const std::function<sim::Time()>& next_time,
-                   spec::Trace& out) {
-  std::vector<std::size_t> used;
+/// in [u,v].  `used` is the caller's scratch, reused across fragments; the
+/// time source is a template parameter so the per-event call inlines and
+/// no std::function is built per fragment.
+template <typename NextTime>
+void emit_fragment(const spec::Fragment& f, Rng& rng, NextTime& next_time,
+                   std::vector<std::size_t>& used, spec::Trace& out) {
+  used.clear();
   if (f.join == spec::Join::Conj) {
     for (std::size_t r = 0; r < f.ranges.size(); ++r) used.push_back(r);
   } else {
@@ -73,6 +74,12 @@ spec::Trace generate_valid(const spec::Antecedent& a, spec::Alphabet& ab,
                            support::Rng& rng,
                            const StimuliOptions& options) {
   spec::Trace out;
+  // One round suffices without the repeat flag; later ones are
+  // unconstrained.
+  const std::size_t rounds =
+      a.repeated ? options.rounds : std::min<std::size_t>(options.rounds, 1);
+  // Room for every round at its longest, noise aside.
+  out.reserve(rounds * (max_round_events(a.pattern) + 1));
   std::uint64_t now_ps = 0;
   const auto pool = noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
   auto next_time = [&] {
@@ -83,12 +90,12 @@ spec::Trace generate_valid(const spec::Antecedent& a, spec::Alphabet& ab,
     }
     return sim::Time::ps(now_ps);
   };
-  for (std::size_t round = 0; round < options.rounds; ++round) {
+  std::vector<std::size_t> used;
+  for (std::size_t round = 0; round < rounds; ++round) {
     for (const auto& f : a.pattern.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
     out.push_back({a.trigger, next_time()});
-    if (!a.repeated) break;  // one round suffices; later ones unconstrained
   }
   return out;
 }
@@ -97,9 +104,10 @@ spec::Trace generate_valid(const spec::TimedImplication& t,
                            spec::Alphabet& ab, support::Rng& rng,
                            const StimuliOptions& options) {
   spec::Trace out;
-  std::uint64_t now_ps = 0;
   const std::uint64_t round_events =
       max_round_events(t.antecedent) + max_round_events(t.consequent);
+  out.reserve(options.rounds * round_events);
+  std::uint64_t now_ps = 0;
   // Budget the spacing so a full round (plus slack) fits in the deadline.
   const std::uint64_t gap_ps = std::max<std::uint64_t>(
       1, t.bound.picoseconds() / (2 * (round_events + 2)));
@@ -112,12 +120,13 @@ spec::Trace generate_valid(const spec::TimedImplication& t,
     }
     return sim::Time::ps(now_ps);
   };
+  std::vector<std::size_t> used;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     for (const auto& f : t.antecedent.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
     for (const auto& f : t.consequent.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
     now_ps += gap_ps;  // inter-round slack
   }

@@ -33,19 +33,23 @@ void ClauseMonitor::violate(std::size_t ordinal, sim::Time time,
   violation_ = mon::Violation{ordinal, time, name, reason};
 }
 
-mon::Reason ClauseMonitor::conjunct_reason(std::size_t c) {
-  auto it = clause_text_.find(c);
-  if (it == clause_text_.end()) {
+mon::Reason ClauseMonitor::conjunct_reason(std::size_t c) const {
+  std::atomic<std::uint32_t>* cached =
+      encoding_->clause_text_ids != nullptr
+          ? &(*encoding_->clause_text_ids)[c]
+          : nullptr;
+  std::uint32_t id = cached != nullptr
+                         ? cached->load(std::memory_order_relaxed)
+                         : 0;
+  if (id == 0) {
     const Clause& clause = encoding_->clauses[c];
-    it = clause_text_
-             .emplace(c, mon::intern_reason_text(
-                             std::string("PSL conjunct violated (") +
-                             to_string(clause.kind) + "): " +
-                             to_string(clause.formula,
-                                       encoding_->vocab.texts())))
-             .first;
+    id = 1 + mon::intern_reason_text(
+                 std::string("PSL conjunct violated (") +
+                 to_string(clause.kind) + "): " +
+                 to_string(clause.formula, encoding_->vocab.texts()));
+    if (cached != nullptr) cached->store(id, std::memory_order_relaxed);
   }
-  return {mon::MonReason::PslConjunct, 0, it->second, 0};
+  return {mon::MonReason::PslConjunct, 0, id - 1, 0};
 }
 
 void ClauseMonitor::reset_round() {

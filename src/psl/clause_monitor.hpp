@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mon/verdict.hpp"
@@ -59,9 +58,9 @@ class ClauseMonitor final : public mon::Monitor {
   void process_token(spec::Name token, sim::Time time, std::size_t ordinal);
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
                const mon::Reason& reason);
-  /// The PslConjunct reason of clause c, its text interned on the first
-  /// violation of that clause by this instance.
-  mon::Reason conjunct_reason(std::size_t c);
+  /// The PslConjunct reason of clause c, its text formatted and interned
+  /// on the clause's first violation (Encoding::clause_text_ids).
+  mon::Reason conjunct_reason(std::size_t c) const;
   void reset_round();
 
   std::shared_ptr<const Encoding> encoding_;
@@ -74,7 +73,6 @@ class ClauseMonitor final : public mon::Monitor {
   std::uint64_t rounds_ = 0;
   std::size_t ordinal_ = 0;
   std::vector<spec::Name> token_buffer_;
-  std::unordered_map<std::size_t, std::uint32_t> clause_text_;  // clause → id
 
   // Timed bookkeeping (token granularity).
   std::vector<std::vector<bool>> range_seen_;  // [fragment][range]

@@ -271,6 +271,9 @@ Encoding build_chain(const std::vector<spec::Fragment>& chain,
     }
   }
 
+  enc.clause_text_ids =
+      std::make_shared<std::vector<std::atomic<std::uint32_t>>>(
+          enc.clauses.size());
   return enc;
 }
 

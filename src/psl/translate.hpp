@@ -21,7 +21,9 @@
 // start/stop time variables as the Drct monitor, at token granularity.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -104,6 +106,14 @@ struct Encoding {
     std::vector<spec::NameSet> per_range;
   };
   std::vector<FragmentTokens> fragments;
+
+  /// ClauseMonitor's violation-text cache: entry c holds 1 +
+  /// mon::intern_reason_text(clause c's text) once any instance has
+  /// reported clause c, 0 before, so each text is formatted once per
+  /// encoding.  Shared by every instance and thread, hence atomic; a fill
+  /// is idempotent (equal texts intern to equal ids), so racing fills are
+  /// benign.  encode() sizes it to the clause count.
+  std::shared_ptr<std::vector<std::atomic<std::uint32_t>>> clause_text_ids;
 
   /// Per-event monitor work: every clause evaluates on every token ([14]).
   std::uint64_t ops_per_token() const;

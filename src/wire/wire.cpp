@@ -146,14 +146,19 @@ std::uint64_t Decoder::count(std::uint64_t min_bytes_each, const char* what) {
 
 void write_frame(std::vector<std::uint8_t>& out, Payload tag,
                  const Encoder& payload) {
-  Encoder header;
-  header.put_u32(kMagic);
-  header.put_u8(kWireVersion);
-  header.put_u8(static_cast<std::uint8_t>(tag));
-  header.put_u8(0);  // reserved
-  header.put_u8(0);  // reserved
-  header.put_u64(payload.size());
-  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
+  // The header goes straight into `out` (little-endian, like Encoder), so
+  // a frame costs at most the one growth of `out` itself.
+  out.reserve(out.size() + kFrameHeaderBytes + payload.size());
+  const auto put_le = [&out](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put_le(kMagic, 4);
+  put_le(kWireVersion, 1);
+  put_le(static_cast<std::uint8_t>(tag), 1);
+  put_le(0, 2);  // reserved
+  put_le(payload.size(), 8);
   out.insert(out.end(), payload.bytes().begin(), payload.bytes().end());
 }
 

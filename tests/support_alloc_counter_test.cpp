@@ -96,5 +96,55 @@ TEST(AllocCounter, WarmedMutateIntoScratchIsAllocationFree) {
   EXPECT_EQ(scope.allocs(), 0u) << "steady-state mutate_into touched the heap";
 }
 
+// The campaign-level form of the same guarantee: a campaign's heap
+// traffic is per seed and per unit (traces, ladders, scratch warm-up),
+// never per mutant.  The same four properties and seeds run at 16 and at
+// 64 mutants per kind, on each backend, and must allocate equally often —
+// a violation report, an oracle check or a wave that allocated would add
+// per-mutant heap calls to the larger run.
+TEST(AllocCounter, CampaignAllocationsDoNotGrowWithMutantsPerKind) {
+  constexpr const char* kSources[] = {
+      "(({set_imgAddr, set_glAddr, set_glSize}, &) << start, false)",
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(p[2,3] => q[1,4] < r, 1ms)",
+      "(n << i, true)",
+  };
+  for (const mon::Backend backend :
+       {mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL}) {
+    spec::Alphabet ab;
+    std::vector<spec::Property> props;
+    for (const char* s : kSources) props.push_back(loom::testing::parse(s, ab));
+    std::vector<const spec::Property*> ptrs;
+    for (const auto& p : props) ptrs.push_back(&p);
+    mon::CompiledPropertyCache plans;
+    const auto allocs_at = [&](std::size_t mutants) {
+      abv::CampaignOptions o;
+      o.plan_cache = &plans;
+      o.seeds = 6;
+      o.stimuli.rounds = 5;
+      o.stimuli.noise_permille = 100;
+      o.mutants_per_kind = mutants;
+      o.threads = 1;
+      o.backend = backend;
+      if (backend != mon::Backend::Auto) o.lane_width = 1;
+      // A first run interns the stimuli names, compiles the plans into the
+      // shared cache and warms this thread's scratch, as an earlier
+      // campaign in the process would have.
+      (void)abv::run_campaigns(ptrs, ab, o);
+      AllocCounter::Scope scope;
+      const auto results = abv::run_campaigns(ptrs, ab, o);
+      std::size_t applied = 0;
+      for (const auto& r : results) {
+        for (const auto& m : r.mutation) applied += m.applied;
+      }
+      EXPECT_GT(applied, mutants) << mon::to_string(backend);
+      return scope.allocs();
+    };
+    const std::uint64_t few = allocs_at(16);
+    const std::uint64_t many = allocs_at(64);
+    EXPECT_EQ(many, few) << mon::to_string(backend);
+  }
+}
+
 }  // namespace
 }  // namespace loom::support
