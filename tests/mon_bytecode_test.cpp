@@ -2,7 +2,7 @@
 // stream is pinned by golden disassembly (so opcode layout changes are a
 // conscious diff, not an accident), and the interpreter is differentially
 // fuzzed against the Drct monitors it compiles from — verdicts, violation
-// reports (reason strings included), the Figure-6 op/event/max-ops
+// reports (reason codes and operands included), the Figure-6 op/event/max-ops
 // accounting and the space bits must match event for event, through both
 // MonitorModule batch policies, at random batch cut points, and lane for
 // lane through VmLaneBatch's block-lockstep.  ViaPSL rides
